@@ -3,12 +3,17 @@
 Only the operations the quality model needs are implemented. Graphs are
 built eagerly; calling .backward() on a scalar output walks the graph once
 in reverse topological order. float32 is the training dtype, float64 is
-used by the finite-difference checker.
+used by the finite-difference checker. Inside `no_grad()` no graph is
+recorded, so forward-only passes hold no intermediates.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_grad_enabled = True
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -101,9 +106,21 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
+@contextmanager
+def no_grad():
+    """Record no parents or backward closures inside the block: results
+    never require grad and each intermediate is freed once consumed."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -8,7 +8,7 @@ float, little-endian RIFF only.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,27 +112,39 @@ def read_wav(path) -> AudioFrame:
     raw = data[data_off:data_off + data_size]
     if len(raw) < data_size:
         raise AudioFormatError("data chunk shorter than declared")
+    if (fmt_tag, bits) not in ((1, 16), (1, 24), (3, 32)):
+        raise AudioFormatError(
+            "unsupported encoding: format tag %d, %d bits" % (fmt_tag, bits))
+    if len(raw) % (bits // 8):
+        raise AudioFormatError("data chunk of %d bytes is not a whole number "
+                               "of %d-bit samples" % (len(raw), bits))
 
-    if fmt_tag == 1 and bits == 16:
+    if bits == 16:
         x = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 2.0 ** 15
-    elif fmt_tag == 1 and bits == 24:
-        b = np.frombuffer(raw[: (len(raw) // 3) * 3], dtype=np.uint8)
-        b = b.reshape(-1, 3)
+    elif bits == 24:
+        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
         ints = (b[:, 0].astype(np.int32)
                 | (b[:, 1].astype(np.int32) << 8)
                 | (b[:, 2].astype(np.int32) << 16))
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         x = ints.astype(np.float32) / 2.0 ** 23
-    elif fmt_tag == 3 and bits == 32:
-        x = np.frombuffer(raw, dtype="<f4").astype(np.float32)
     else:
-        raise AudioFormatError(
-            "unsupported encoding: format tag %d, %d bits" % (fmt_tag, bits))
+        x = np.frombuffer(raw, dtype="<f4").astype(np.float32)
 
     if channels > 1:
         x = x[: (len(x) // channels) * channels]
         x = x.reshape(-1, channels).mean(axis=1)
     return AudioFrame(x, rate, source_id=str(path))
+
+
+def read_wav_48k(path) -> AudioFrame:
+    """read_wav for audio that reaches the model, which is trained on
+    48 kHz only: any other rate raises AudioFormatError."""
+    frame = read_wav(path)
+    if frame.sample_rate != CANONICAL_RATE:
+        raise AudioFormatError("%s: sample rate %d Hz, the model needs %d Hz"
+                               % (path, frame.sample_rate, CANONICAL_RATE))
+    return frame
 
 
 def write_wav(frame: AudioFrame, path, bit_depth="32f") -> None:

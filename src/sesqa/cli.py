@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import evaluation
-from .audio import AudioFormatError, DegenerateInputError, read_wav
+from .audio import (AudioFormatError, DegenerateInputError, read_wav,
+                    read_wav_48k)
 from .degrade import (CleanPool, PoolExhaustedError, FIRST_STAGE,
                       SECOND_STAGE, read_quadruple_manifest,
                       write_quadruple_manifest)
@@ -24,8 +25,9 @@ from .degrade.quadruples import iter_quadruples, load_quadruple
 from .measures import MEASURE_NAMES, compute_measure_vector
 from .model import CheckpointError, Model, ModelConfig, load_checkpoint
 from .objectives import LOSS_NAMES
-from .training import (TrainConfig, load_jnd_items, load_mos_items,
-                       read_jnd_manifest, read_mos_manifest, train)
+from .training import (FRAME_SAMPLES, TrainConfig, load_jnd_items,
+                       load_mos_items, read_jnd_manifest, read_mos_manifest,
+                       train)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,7 +172,7 @@ def cmd_train(args, file_config) -> int:
     model = Model(ModelConfig(channel_mult=mult,
                               measure_names=measure_names, seed=seed))
     cfg = TrainConfig(epochs=epochs, base_lr=lr, batch_size=batch,
-                      loss_mask=mask, seed=seed, channel_mult=mult)
+                      loss_mask=mask, seed=seed)
     train(model, cfg, quads, mos_items=mos_items, jnd_items=jnd_items,
           measure_lookup=measure_lookup, log_path=args.log,
           checkpoint_path=args.out)
@@ -183,13 +185,9 @@ def _score_quads(model, quads, rng=None):
     if rng is not None:
         s = rng.uniform(1.0, 5.0, size=(len(quads), 4))
         return s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    out = np.empty((len(quads), 4))
-    for i in range(0, len(quads), 8):
-        chunk = quads[i:i + 8]
-        frames = np.stack([f.samples for q in chunk for f in q.frames()])
-        z = model.encode(frames, train=False)
-        out[i:i + len(chunk)] = model.score(z).data.reshape(-1, 4)
-    return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+    _, s = model.infer([f.samples for q in quads for f in q.frames()])
+    s = s.reshape(-1, 4)
+    return s[:, 0], s[:, 1], s[:, 2], s[:, 3]
 
 
 def cmd_eval(args, file_config) -> int:
@@ -215,10 +213,9 @@ def cmd_eval(args, file_config) -> int:
         if rng is not None:
             preds = rng.uniform(1.0, 5.0, size=len(items))
         else:
-            preds = np.empty(len(items))
-            for i, (samples, _) in enumerate(items):
-                z = model.encode(samples[None, :48000], train=False)
-                preds[i] = float(model.score(z).data[0])
+            # every item is at least 1 s long; score its first second
+            _, preds = model.infer([samples[:FRAME_SAMPLES]
+                                    for samples, _ in items])
         if args.kfold:
             split = evaluation.kfold_split(len(items), args.kfold,
                                            seed=args.seed or 0)
@@ -254,19 +251,15 @@ def cmd_score(args, file_config) -> int:
     model = load_checkpoint(args.checkpoint)
     ref_z = None
     if args.reference:
-        ref = read_wav(args.reference)
-        ref_z = model.encode(ref.samples[None, :], train=False).data
+        ref_z, _ = model.infer([read_wav_48k(args.reference).samples])
     status = EXIT_OK
     for path in args.wavs:
         try:
-            frame = read_wav(path)
-            z = model.encode(frame.samples[None, :], train=False)
+            z, s = model.infer([read_wav_48k(path).samples])
             if ref_z is not None:
-                s = model.score_pair_reference(z.data, ref_z,
+                s = model.score_pair_reference(z, ref_z,
                                                variant=args.variant)
-                print("%s\t%.4f" % (path, float(s[0])))
-            else:
-                print("%s\t%.4f" % (path, float(model.score(z).data[0])))
+            print("%s\t%.4f" % (path, float(s[0])))
         except (OSError, AudioFormatError, DegenerateInputError,
                 ValueError) as e:
             print("%s\tERROR: %s" % (path, e), file=sys.stderr)
@@ -290,7 +283,7 @@ def cmd_analyze(args, file_config) -> int:
             raise UsageError("sweep mode needs --clean WAV")
         if not args.kind:
             raise UsageError("sweep mode needs --kind")
-        frame = read_wav(args.clean)
+        frame = read_wav_48k(args.clean)
         curve = evaluation.strength_sweep(model, frame, args.kind,
                                           seed=args.seed or 0)
         lines = ["strength,mean_score"]
@@ -387,7 +380,8 @@ def main(argv=None) -> int:
     try:
         file_config = _load_config_file(args.config)
         return _COMMANDS[args.command](args, file_config)
-    except (UsageError, PoolExhaustedError, FileNotFoundError) as e:
+    except (UsageError, PoolExhaustedError, FileNotFoundError,
+            AudioFormatError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except CheckpointError as e:

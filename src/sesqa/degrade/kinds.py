@@ -65,10 +65,6 @@ KIND_NAMES = tuple(KIND_PROBS)
 TRANSCODE_KINDS = tuple(k for k in KIND_NAMES if k.startswith("transcode_"))
 NATIVE_KINDS = tuple(k for k in KIND_NAMES if not k.startswith("transcode_"))
 
-# kinds whose noise is mixed at a target SNR and may hit only part of the
-# frame (minimum 300 ms, probability 0.25)
-PARTIAL_KINDS = ("additive_noise", "colored_noise", "hum_noise")
-
 TRANSCODE_CODECS = {
     "transcode_mp3": "libmp3lame",
     "transcode_ac3": "ac3",

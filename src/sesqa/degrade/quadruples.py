@@ -9,7 +9,7 @@ j (so quality(i) >= quality(j) by construction). A random delay of up to
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +118,6 @@ class Quadruple:
     ds_targets_i: np.ndarray
     ds_targets_j: np.ndarray
     parent_id: str = ""
-    # cuts of the same signal are perceptually the same recording
-    sd_label: float = 1.0
 
     def frames(self) -> tuple:
         return (self.x_ik, self.x_il, self.x_jk, self.x_jl)

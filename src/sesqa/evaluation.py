@@ -138,32 +138,18 @@ def kfold_split(n_items: int, k: int, seed: int = 0) -> FoldSplit:
 
 # -------------------------------------------------------- model analyses
 
-def _encode_scores(model, frames: np.ndarray):
-    z = model.encode(frames, train=False)
-    s = model.score(z)
-    return z.data, s.data
-
-
-def latent_distance_stats(model, quads, batch_quads=8,
-                          return_raw=False) -> dict:
+def latent_distance_stats(model, quads, return_raw=False) -> dict:
     """Euclidean latent distance statistics over three pair categories:
 
     * same_condition: cuts of the same signal, (ik, il) and (jk, jl)
     * different_degradation: same utterance across chains, (ik, jk), (il, jl)
     * different_utterance: k-cuts of signal i from different quadruples
     """
-    if len(quads) == 0:
-        raise ValueError("no quadruples given")
-    lat = []
-    frames = np.stack([np.stack([f.samples for f in q.frames()])
-                       for q in quads])  # (N, 4, T)
     n = len(quads)
-    for b0 in range(0, n, batch_quads):
-        chunk = frames[b0:b0 + batch_quads]
-        z = model.encode(chunk.reshape(-1, chunk.shape[-1]),
-                         train=False).data
-        lat.append(z.reshape(len(chunk), 4, -1))
-    z = np.concatenate(lat, axis=0)  # (N, 4, D)
+    if n == 0:
+        raise ValueError("no quadruples given")
+    z, _ = model.infer([f.samples for q in quads for f in q.frames()])
+    z = z.reshape(n, 4, -1)
 
     def dist(a, b):
         return np.linalg.norm(a - b, axis=-1)
@@ -188,42 +174,28 @@ def strength_sweep(model, clean_frame, kind, grid=SWEEP_GRID, n_seeds=5,
                    seed=0, noise_pool=None, transcoder_cmd=None) -> dict:
     """Mean predicted score at each degradation strength (DS1..DS5),
     plus the undegraded reference score."""
-    x = clean_frame.samples[None, :]
-    _, s_clean = _encode_scores(model, x)
-    means = []
+    clips = [clean_frame.samples]
     for strength in grid:
-        scores = []
         for rep in range(n_seeds):
             rng = np.random.default_rng([seed, rep])
             spec = sample_spec(kind, rng, strength=strength)
-            deg = apply_degradation(clean_frame, spec,
-                                    noise_pool=noise_pool,
-                                    transcoder_cmd=transcoder_cmd)
-            _, s = _encode_scores(model, deg.samples[None, :])
-            scores.append(float(s[0]))
-        means.append(float(np.mean(scores)))
-    return {"strengths": list(grid), "mean_scores": means,
-            "clean_score": float(s_clean[0])}
+            clips.append(apply_degradation(clean_frame, spec,
+                                           noise_pool=noise_pool,
+                                           transcoder_cmd=transcoder_cmd
+                                           ).samples)
+    _, s = model.infer(clips)
+    means = s[1:].astype(np.float64).reshape(len(grid), n_seeds).mean(axis=1)
+    return {"strengths": list(grid), "mean_scores": [float(m) for m in means],
+            "clean_score": float(s[0])}
 
 
-def export_latents(model, frames_with_meta, path, batch=16) -> None:
+def export_latents(model, frames_with_meta, path) -> None:
     """JSON-lines {id, latent[...], meta} for external projection."""
     import json
+    items = list(frames_with_meta)
+    z, _ = model.infer([samples for _, samples, _ in items])
     with open(path, "w") as f:
-        buf = []
-        for item_id, samples, meta in frames_with_meta:
-            buf.append((item_id, samples, meta))
-            if len(buf) == batch:
-                _flush_latents(model, buf, f)
-                buf = []
-        if buf:
-            _flush_latents(model, buf, f)
-
-
-def _flush_latents(model, buf, f):
-    import json
-    z = model.encode(np.stack([s for _, s, _ in buf]), train=False).data
-    for (item_id, _, meta), vec in zip(buf, z):
-        f.write(json.dumps({"id": item_id,
-                            "latent": [round(float(v), 6) for v in vec],
-                            "meta": meta}) + "\n")
+        for (item_id, _, meta), vec in zip(items, z):
+            f.write(json.dumps({"id": item_id,
+                                "latent": [round(float(v), 6) for v in vec],
+                                "meta": meta}) + "\n")

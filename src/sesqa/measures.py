@@ -402,10 +402,6 @@ class MeasureVector:
     values: dict = field(default_factory=dict)
     masked: tuple = ()
 
-    @property
-    def available(self) -> tuple:
-        return tuple(sorted(self.values))
-
 
 def compute_measure_vector(reference, degraded, sample_rate=48000,
                            names=MEASURE_NAMES) -> MeasureVector:
@@ -427,15 +423,6 @@ class MeasureNormalizer:
 
     means: dict
     stds: dict
-
-    def apply(self, vec: MeasureVector) -> MeasureVector:
-        out = {}
-        for name, v in vec.values.items():
-            if name in self.means:
-                out[name] = (v - self.means[name]) / self.stds[name]
-            else:
-                out[name] = v
-        return MeasureVector(values=out, masked=vec.masked)
 
     def apply_value(self, name: str, value: float) -> float:
         return (value - self.means[name]) / self.stds[name]

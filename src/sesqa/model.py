@@ -25,6 +25,7 @@ DTYPE = np.float32
 PAD_MULTIPLE = 256          # four x4 reductions must divide the input
 MIN_INPUT_SAMPLES = 5 * PAD_MULTIPLE
 LATENT_DIM = 200
+INFER_BATCH = 16            # rows per forward pass in Model.infer
 
 PAIR_VARIANTS = ("dual-linear", "diff-linear", "concat-linear")
 
@@ -210,6 +211,23 @@ class Model:
         z = bns["enc.mlp1.bn"](h, train)
         return z
 
+    def infer(self, frames) -> tuple[np.ndarray, np.ndarray]:
+        """Forward-only (B,T) audio -> ((B,200) latents, (B,) scores).
+
+        Eval-mode encode and score with no autodiff graph, INFER_BATCH
+        rows at a time. `frames` is a (B,T) array or a list of
+        equal-length 1-D arrays; each chunk is stacked only when run.
+        """
+        zs = [np.empty((0, LATENT_DIM), dtype=DTYPE)]
+        ss = [np.empty(0, dtype=DTYPE)]
+        with ad.no_grad():
+            for b0 in range(0, len(frames), INFER_BATCH):
+                chunk = np.asarray(frames[b0:b0 + INFER_BATCH], dtype=DTYPE)
+                z = self.encode(chunk, train=False)
+                zs.append(z.data)
+                ss.append(self.score(z).data)
+        return np.concatenate(zs), np.concatenate(ss)
+
     def score(self, z) -> Tensor:
         """Latents -> scores strictly inside (1,5)."""
         z = ad.as_tensor(z)
@@ -291,10 +309,6 @@ class Model:
                                         dtype=DTYPE).copy()
 
 
-def init_model(config: ModelConfig) -> Model:
-    return Model(config)
-
-
 def save_checkpoint(model: Model, path) -> None:
     arrays = model.state_arrays()
     directory = [{"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
@@ -340,15 +354,20 @@ def load_checkpoint(path) -> Model:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError("corrupt metadata block: %s" % e)
 
-    cfg = ModelConfig(channel_mult=meta["config"]["channel_mult"],
-                      n_kinds=meta["config"]["n_kinds"],
-                      measure_names=tuple(meta["config"]["measure_names"]),
-                      seed=meta["config"]["seed"])
+    try:
+        c = meta["config"]
+        cfg = ModelConfig(channel_mult=c["channel_mult"],
+                          n_kinds=c["n_kinds"],
+                          measure_names=tuple(c["measure_names"]),
+                          seed=c["seed"])
+        entries = meta["tensors"]
+    except (KeyError, TypeError) as e:
+        raise CheckpointError("incomplete metadata block: %r" % e)
     model = Model(cfg)
 
     offset = 12 + meta_len
     arrays = {}
-    for entry in meta["tensors"]:
+    for entry in entries:
         dt = np.dtype(entry["dtype"])
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         nbytes = count * dt.itemsize

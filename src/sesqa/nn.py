@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ad import Tensor, _accum, _make, as_tensor, concat
+from .ad import Tensor, _accum, _make, as_tensor
 
 # Fixed binomial low-pass used before every factor-4 subsampling.
 BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -21,8 +21,9 @@ STATS_EPS = 1e-8
 def conv1d(x, w, b):
     """Cross-correlation with 'same' zero padding, stride 1.
 
-    x: (B,C,T), w: (F,C,K), b: (F,). Output (B,F,T). Implemented as K
-    batched GEMMs over shifted views so no patch matrix is materialized.
+    x: (B,C,T), w: (F,C,K), b: (F,). Output (B,F,T). The padded batch is
+    one (C, B*(T+K-1)) matrix and each tap one GEMM over a shifted column
+    view: K BLAS calls per batch, not B*K, and no patch matrix.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     B, C, T = x.data.shape
@@ -31,13 +32,18 @@ def conv1d(x, w, b):
         raise ValueError("conv1d channel mismatch: input %d, weight %d" % (C, Cw))
     pl = (K - 1) // 2
     pr = K - 1 - pl
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pl, pr)))
+    Tp = T + K - 1
+    n = B * Tp - (K - 1)        # columns whose K taps stay in range
+    xf = np.pad(x.data.transpose(1, 0, 2),
+                ((0, 0), (0, 0), (pl, pr))).reshape(C, B * Tp)
     y = np.empty((B, F, T), dtype=x.data.dtype)
     y[:] = b.data[:, None]
-    tmp = np.empty_like(y)
+    yt = y.transpose(1, 0, 2)
+    tmp = np.empty((F, B * Tp), dtype=x.data.dtype)
     for k in range(K):
-        np.matmul(w.data[:, :, k], xp[:, :, k:k + T], out=tmp)
-        y += tmp
+        # column b*Tp + t of tmp is output (b, t); the rest go unread
+        np.matmul(w.data[:, :, k], xf[:, k:k + n], out=tmp[:, :n])
+        yt += tmp.reshape(F, B, Tp)[:, :, :T]
 
     def backward(g):
         if b.requires_grad:
@@ -96,7 +102,7 @@ def mu_law_compand(x, mu):
     m = float(mu.data)
     ax = np.abs(x.data)
     sign = np.sign(x.data)
-    L = np.log1p(m)
+    L = float(np.log1p(m))  # a Python float keeps y in x's dtype
     gnum = np.log1p(m * ax)
     y = sign * gnum / L
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import ad, nn, objectives
-from .audio import read_wav
+from . import ad, objectives
+from .audio import read_wav_48k
 from .measures import fit_normalizer
 from .model import Model, save_checkpoint
 from .objectives import LossConfig
@@ -47,7 +47,6 @@ class TrainConfig:
     cons_term_form: str = "normalized"
     swa: bool = True
     seed: int = 0
-    channel_mult: float = 1.0
 
     def __post_init__(self):
         if abs(sum(self.ratios) - 1.0) > 1e-9:
@@ -97,7 +96,7 @@ def load_mos_items(manifest) -> list:
     """(samples, mos) tuples; recordings shorter than 1 s are skipped."""
     out = []
     for rec in manifest:
-        frame = read_wav(rec["path"])
+        frame = read_wav_48k(rec["path"])
         if len(frame) < FRAME_SAMPLES:
             warnings.warn("skipping %s: shorter than 1 s" % rec["path"])
             continue
@@ -108,8 +107,8 @@ def load_mos_items(manifest) -> list:
 def load_jnd_items(manifest) -> list:
     out = []
     for rec in manifest:
-        a = read_wav(rec["path_a"])
-        b = read_wav(rec["path_b"])
+        a = read_wav_48k(rec["path_a"])
+        b = read_wav_48k(rec["path_b"])
         if len(a) < FRAME_SAMPLES or len(b) < FRAME_SAMPLES:
             warnings.warn("skipping JND pair %s: shorter than 1 s"
                           % rec["path_a"])
@@ -313,10 +312,6 @@ class SwaState:
         return {n: s / self.count for n, s in self.sums.items()}
 
 
-def swa_absorb(state: SwaState, params: dict) -> None:
-    state.absorb(params)
-
-
 def swa_finalize(state: SwaState, model: Model, sample_frames) -> None:
     """Install the parameter average and recalibrate BN running stats
     with one pass over `sample_frames` (batch of 1 s frames)."""
@@ -327,20 +322,23 @@ def swa_finalize(state: SwaState, model: Model, sample_frames) -> None:
 
 
 def recalibrate_bn(model: Model, sample_frames) -> None:
-    """Set every BN's running stats to the batch stats of one sample."""
+    """Set every BN's running stats to the batch stats of one sample.
+
+    Train mode supplies the batch statistics; no gradient is needed, so
+    the pass builds no autodiff graph."""
     old = {name: bn.momentum for name, bn in model.bns.items()}
     for bn in model.bns.values():
         bn.momentum = 1.0
     try:
-        z = model.encode(np.asarray(sample_frames), train=True)
-        half = z.data.shape[0] // 2
-        if half >= 1:
-            z_a = ad.as_tensor(z.data[:half])
-            z_b = ad.as_tensor(z.data[half:2 * half])
-            for head in ("sd", "jnd", "mr"):
-                model.head_forward(head, z_a, z_b, train=True)
-            for head in ("dt", "ds"):
-                model.head_forward(head, ad.as_tensor(z.data), train=True)
+        with ad.no_grad():
+            z = model.encode(np.asarray(sample_frames), train=True).data
+            half = z.shape[0] // 2
+            if half >= 1:
+                for head in ("sd", "jnd", "mr"):
+                    model.head_forward(head, z[:half], z[half:2 * half],
+                                       train=True)
+                for head in ("dt", "ds"):
+                    model.head_forward(head, z, train=True)
     finally:
         for name, bn in model.bns.items():
             bn.momentum = old[name]

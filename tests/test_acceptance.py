@@ -300,8 +300,8 @@ def test_criterion_10_determinism(tmp_path):
     paths = []
     for run in range(2):
         model = Model(ModelConfig(channel_mult=0.25, seed=3))
-        cfg = TrainConfig(epochs=1, batch_size=4, channel_mult=0.25,
-                          loss_mask=("mos",), seed=3)
+        cfg = TrainConfig(epochs=1, batch_size=4, loss_mask=("mos",),
+                          seed=3)
         train(model, cfg, quads, mos_items=mos_items, jnd_items=jnd_items)
         p = tmp_path / ("run%d.ckpt" % run)
         save_checkpoint(model, p)

@@ -3,7 +3,7 @@ import pytest
 
 from sesqa.audio import (AudioFormatError, AudioFrame, DegenerateInputError,
                          FrameSlice, extract_slice, is_usable, peak_normalize,
-                         read_wav, write_wav)
+                         read_wav, read_wav_48k, write_wav)
 
 from conftest import speechlike
 
@@ -53,10 +53,28 @@ def test_wav_multichannel_downmix(tmp_path):
 
 
 def test_read_wav_rejects_garbage(tmp_path):
+    import struct
     p = tmp_path / "bad.wav"
     p.write_bytes(b"not audio at all")
     with pytest.raises(AudioFormatError):
         read_wav(p)
+    # a 16-bit data chunk of 3 bytes holds one and a half samples
+    fmt = struct.pack("<HHIIHH", 1, 1, 48000, 96000, 2, 16)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 3) + b"\x01\x02\x03\x00")
+    p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(AudioFormatError):
+        read_wav(p)
+
+
+def test_read_wav_48k_rejects_other_rates(tmp_path):
+    p = tmp_path / "low.wav"
+    write_wav(speechlike(seed=3, seconds=0.25, rate=16000), p)
+    assert read_wav(p).sample_rate == 16000
+    with pytest.raises(AudioFormatError):
+        read_wav_48k(p)
+    write_wav(speechlike(seed=3, seconds=0.25), p)
+    assert read_wav_48k(p).sample_rate == 48000
 
 
 def test_write_wav_int_requires_normalized(tmp_path):

@@ -102,6 +102,24 @@ def test_grad_conv1d():
     check(lambda: ad.mean(nn.conv1d(x, w4, b4)), [x, w4, b4])
 
 
+def test_conv1d_matches_direct_sum():
+    # the forward pass folds the batch into one matrix; no output column
+    # may pick up samples from a neighbouring row
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(3, 2, 7))
+    for K in (1, 3, 4):
+        w = rng.normal(size=(5, 2, K))
+        b = rng.normal(size=5)
+        pl = (K - 1) // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (pl, K - 1 - pl)))
+        want = b[None, :, None] + np.stack(
+            [np.einsum("fck,bck->bf", w, xp[:, :, t:t + K]) for t in range(7)],
+            axis=2)
+        got = nn.conv1d(x, w, b).data
+        assert got.shape == (3, 5, 7) and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_grad_blurpool():
     rng = np.random.default_rng(7)
     x = t64(rng, 2, 3, 21)
@@ -292,3 +310,27 @@ def test_grad_accumulates_over_reuse():
     y = x * x  # dy/dx = 2x through two paths
     y.backward()
     assert np.isclose(x.grad, 4.0)
+
+
+def test_no_grad_records_no_graph():
+    w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+    b = ad.Tensor(np.zeros(2), requires_grad=True)
+    x = np.ones((4, 3))
+    with ad.no_grad():
+        with ad.no_grad():
+            y = ad.relu(ad.matmul(x, w))
+        # the outer block still holds after the inner one exits
+        y2 = nn.linear(x, w, b)
+    for out in (y, y2):
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+    # the graph is recorded again once the block is left
+    assert ad.matmul(x, w).requires_grad
+
+
+def test_no_grad_restores_flag_after_exception():
+    w = ad.Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside the block")
+    assert ad.add(w, w).requires_grad

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -172,10 +173,43 @@ def test_eval_with_checkpoint(workdir, checkpoint, capsys):
 
 def test_corrupt_checkpoint_exit_code(workdir, tmp_path):
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"nope")
-    rc = main(["eval", "--checkpoint", str(bad),
-               "--quadruples", str(workdir["manifest"])])
-    assert rc == EXIT_CHECKPOINT
+    meta = b'{"tensors": []}'   # valid magic and version, no "config"
+    for blob in (b"nope", b"SSQA" + struct.pack("<II", 1, len(meta)) + meta):
+        bad.write_bytes(blob)
+        rc = main(["eval", "--checkpoint", str(bad),
+                   "--quadruples", str(workdir["manifest"])])
+        assert rc == EXIT_CHECKPOINT
+
+
+def test_malformed_wav_exit_code(tmp_path):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+    manifest = tmp_path / "mos.jsonl"
+    manifest.write_text(json.dumps({"path": str(bad), "mos": 3.0}) + "\n")
+    rc = main(["eval", "--random-baseline", "--mos", str(manifest)])
+    assert rc == EXIT_USAGE
+
+
+def test_other_rates_rejected(checkpoint, tmp_path, capsys):
+    ok, low = tmp_path / "ok.wav", tmp_path / "low.wav"
+    write_wav(speechlike(seed=80, seconds=1.0), ok)
+    write_wav(speechlike(seed=81, seconds=2.0, rate=16000), low)
+    rc = main(["score", "--checkpoint", str(checkpoint), str(ok), str(low)])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out.startswith(str(ok)) and str(low) not in out
+    assert err.startswith("%s\tERROR" % low)
+    rc = main(["score", "--checkpoint", str(checkpoint),
+               "--reference", str(low), str(ok)])
+    assert rc == EXIT_USAGE
+
+    manifest = tmp_path / "mos.jsonl"
+    manifest.write_text(json.dumps({"path": str(low), "mos": 3.0}) + "\n")
+    rc = main(["eval", "--random-baseline", "--mos", str(manifest)])
+    assert rc == EXIT_USAGE
+    rc = main(["analyze", "--checkpoint", str(checkpoint), "--mode", "sweep",
+               "--clean", str(low), "--kind", "additive_noise"])
+    assert rc == EXIT_USAGE
 
 
 def test_score_command(workdir, checkpoint, tmp_path, capsys):

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
-from sesqa.model import (LATENT_DIM, MIN_INPUT_SAMPLES, PAIR_VARIANTS,
-                         CheckpointError, Model, ModelConfig, load_checkpoint,
-                         pair_score, save_checkpoint)
+from sesqa.model import (INFER_BATCH, LATENT_DIM, MIN_INPUT_SAMPLES,
+                         PAIR_VARIANTS, CheckpointError, Model, ModelConfig,
+                         load_checkpoint, pair_score, save_checkpoint)
 
 from conftest import speechlike
 
@@ -53,6 +55,42 @@ def test_eval_forward_deterministic(small_model):
     z0 = small_model.encode(x).data
     z1 = small_model.encode(x).data
     np.testing.assert_array_equal(z0, z1)
+
+
+def test_infer_matches_encode_and_score_across_chunks(small_model):
+    frames = [speechlike(seed=100 + i, seconds=1.0).samples
+              for i in range(INFER_BATCH + 1)]
+    z, s = small_model.infer(frames)
+    assert z.shape == (INFER_BATCH + 1, LATENT_DIM)
+    assert s.shape == (INFER_BATCH + 1,)
+    # one row against a batch: BLAS may sum in another order, so allow
+    # float32 rounding relative to the latents' scale
+    atol = 1e-4 * np.abs(z).max()
+    for i, x in enumerate(frames):
+        z_ref = small_model.encode(x[None, :], train=False)
+        np.testing.assert_allclose(z[i], z_ref.data[0], rtol=1e-4, atol=atol)
+        np.testing.assert_allclose(s[i], small_model.score(z_ref).data[0],
+                                   rtol=1e-5)
+    z2, s2 = small_model.infer(np.stack(frames))
+    np.testing.assert_array_equal(z2, z)
+    np.testing.assert_array_equal(s2, s)
+
+
+def test_infer_builds_no_graph(small_model, monkeypatch):
+    encoded = []
+    encode = Model.encode
+
+    def recording_encode(self, *args, **kwargs):
+        encoded.append(encode(self, *args, **kwargs))
+        return encoded[-1]
+
+    monkeypatch.setattr(Model, "encode", recording_encode)
+    for p in small_model.params.values():
+        p.grad = None
+    small_model.infer(np.stack([speechlike(seed=9, seconds=1.0).samples] * 2))
+    assert len(encoded) == 1
+    assert not encoded[0].requires_grad and encoded[0]._parents == ()
+    assert all(p.grad is None for p in small_model.params.values())
 
 
 def test_pair_score_variants(small_model):
@@ -143,6 +181,13 @@ def test_checkpoint_error_cases(tmp_path, small_model):
     wrong_ver.write_bytes(blob[:4] + b"\xff\x00\x00\x00" + blob[8:])
     with pytest.raises(CheckpointError):
         load_checkpoint(wrong_ver)
+
+    # valid magic and version, but the metadata has no "config" key
+    meta = b'{"tensors": []}'
+    no_config = tmp_path / "no_config.ckpt"
+    no_config.write_bytes(blob[:8] + struct.pack("<I", len(meta)) + meta)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(no_config)
 
 
 def test_seed_changes_weights():

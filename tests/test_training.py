@@ -1,10 +1,14 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from sesqa import ad
+from sesqa import ad, objectives
+from sesqa.audio import AudioFormatError, write_wav
 from sesqa.model import Model, ModelConfig
 from sesqa.training import (FRAME_SAMPLES, QHState, SwaState, TrainConfig,
-                            assemble_batch, augment, lr_at, qh_step,
+                            _batch_losses, assemble_batch, augment,
+                            load_jnd_items, load_mos_items, lr_at, qh_step,
                             read_jnd_manifest, read_mos_manifest,
                             recalibrate_bn, swa_finalize)
 
@@ -123,6 +127,63 @@ def test_swa_finalize_and_bn_recalibration():
     snap = bn.running_mean.copy()
     recalibrate_bn(model, frames)
     np.testing.assert_allclose(bn.running_mean, snap, rtol=1e-5)
+
+
+def test_recalibrate_bn_same_stats_without_graph(monkeypatch):
+    frames = np.stack([speechlike(seed=40 + i, seconds=1.0).samples
+                       for i in range(4)])
+    stats = []
+    for no_grad in (ad.no_grad, contextlib.nullcontext):
+        monkeypatch.setattr(ad, "no_grad", no_grad)
+        model = Model(ModelConfig(channel_mult=0.25, measure_names=("ssnr",),
+                                  seed=0))
+        recalibrate_bn(model, frames)
+        stats.append({n: (bn.running_mean, bn.running_var)
+                      for n, bn in model.bns.items()})
+    for name, (mean, var) in stats[0].items():
+        np.testing.assert_array_equal(mean, stats[1][name][0])
+        np.testing.assert_array_equal(var, stats[1][name][1])
+
+
+def test_float32_contract(monkeypatch):
+    """Inference outputs, a training step's latents and every parameter
+    gradient stay float32."""
+    from toyrun import build_dataset
+    quads, _, mos_items, jnd_items, _ = build_dataset(
+        n_train=4, n_heldout=0, seed=99, with_measures=False)
+    model = Model(ModelConfig(channel_mult=0.25, seed=0))
+    z, s = model.infer([f.samples for f in quads[0].frames()])
+    assert z.dtype == s.dtype == np.float32
+
+    encoded = []
+    encode = Model.encode
+
+    def recording_encode(self, *args, **kwargs):
+        encoded.append(encode(self, *args, **kwargs))
+        return encoded[-1]
+
+    monkeypatch.setattr(Model, "encode", recording_encode)
+    batch = assemble_batch(quads, np.arange(4), np.random.default_rng(0),
+                           mos_items=mos_items, jnd_items=jnd_items)
+    lcfg = TrainConfig().loss_config()
+    total, _ = objectives.total_loss(_batch_losses(model, batch, lcfg, ()),
+                                     lcfg)
+    total.backward()
+    assert [z.dtype for z in encoded] == [np.float32]
+    grads = {n: p.grad for n, p in model.params.items() if p.grad is not None}
+    assert any(n.startswith("enc.pool0") for n in grads)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+
+def test_loaders_reject_other_rates(tmp_path):
+    ok, low = tmp_path / "ok.wav", tmp_path / "low.wav"
+    write_wav(speechlike(seed=30, seconds=1.0), ok)
+    write_wav(speechlike(seed=31, seconds=3.0, rate=16000), low)
+    with pytest.raises(AudioFormatError):
+        load_mos_items([{"path": str(low), "mos": 3.0}])
+    with pytest.raises(AudioFormatError):
+        load_jnd_items([{"path_a": str(ok), "path_b": str(low), "jnd": 1.0}])
+    assert len(load_mos_items([{"path": str(ok), "mos": 3.0}])) == 1
 
 
 def test_augment_consistency():

@@ -90,24 +90,14 @@ def train_toy(data, loss_mask=None, seed=7):
     kwargs = {}
     if loss_mask is not None:
         kwargs["loss_mask"] = tuple(loss_mask)
-    cfg = TrainConfig(epochs=EPOCHS, batch_size=BATCH, channel_mult=MULT,
-                      seed=seed, **kwargs)
+    cfg = TrainConfig(epochs=EPOCHS, batch_size=BATCH, seed=seed, **kwargs)
     log = train(model, cfg, train_q, mos_items=mos_items,
                 jnd_items=jnd_items, measure_lookup=lookup)
     return model, log
 
 
-def batch_scores(model, frames, batch=16) -> np.ndarray:
-    frames = np.asarray(frames, dtype=np.float32)
-    out = []
-    for b0 in range(0, len(frames), batch):
-        z = model.encode(frames[b0:b0 + batch], train=False)
-        out.append(model.score(z).data)
-    return np.concatenate(out)
-
-
 def heldout_rank(model, held_q) -> float:
     """R_RANK on (x_ik, x_jk) held-out pairs; quality(i) >= quality(j)."""
-    s_i = batch_scores(model, [q.x_ik.samples for q in held_q])
-    s_j = batch_scores(model, [q.x_jk.samples for q in held_q])
+    _, s_i = model.infer([q.x_ik.samples for q in held_q])
+    _, s_j = model.infer([q.x_jk.samples for q in held_q])
     return float(np.mean(s_i <= s_j))
