@@ -97,7 +97,7 @@ def read_wav(path) -> AudioFrame:
         raise AudioFormatError("not a RIFF/WAVE file: %s" % path)
 
     fmt_off, fmt_size = _find_chunk(data, b"fmt ", 12)
-    if fmt_size < 16:
+    if fmt_size < 16 or fmt_off + fmt_size > len(data):
         raise AudioFormatError("truncated fmt chunk")
     fmt_tag, channels, rate, _, block_align, bits = struct.unpack_from(
         "<HHIIHH", data, fmt_off)
@@ -134,7 +134,10 @@ def read_wav(path) -> AudioFrame:
     if channels > 1:
         x = x[: (len(x) // channels) * channels]
         x = x.reshape(-1, channels).mean(axis=1)
-    return AudioFrame(x, rate, source_id=str(path))
+    try:
+        return AudioFrame(x, rate, source_id=str(path))
+    except ValueError as e:  # a sample rate of 0, non-finite float samples
+        raise AudioFormatError("%s: %s" % (path, e)) from e
 
 
 def read_wav_48k(path) -> AudioFrame:

@@ -251,7 +251,10 @@ def cmd_score(args, file_config) -> int:
     model = load_checkpoint(args.checkpoint)
     ref_z = None
     if args.reference:
-        ref_z, _ = model.infer([read_wav_48k(args.reference).samples])
+        try:
+            ref_z, _ = model.infer([read_wav_48k(args.reference).samples])
+        except (OSError, ValueError) as e:  # unreadable, malformed or short
+            raise UsageError("reference %s: %s" % (args.reference, e)) from e
     status = EXIT_OK
     for path in args.wavs:
         try:

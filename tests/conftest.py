@@ -1,4 +1,5 @@
 import os
+import struct
 import sys
 
 import numpy as np
@@ -21,6 +22,17 @@ def speechlike(seed=0, seconds=1.5, rate=48000) -> AudioFrame:
     x *= 0.6 + 0.4 * np.sin(2 * np.pi * 3.0 * t)
     x += 0.005 * r.normal(size=len(t))
     return AudioFrame((x / np.max(np.abs(x))).astype(np.float32), rate)
+
+
+def wav_bytes(payload: bytes, rate=48000, fmt_tag=3, bits=32,
+              channels=1) -> bytes:
+    """A RIFF/WAVE file with any header values, for malformed-input tests."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate, rate * block,
+                      block, bits)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 @pytest.fixture

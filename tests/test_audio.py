@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sesqa.audio import (AudioFormatError, AudioFrame, DegenerateInputError,
                          FrameSlice, extract_slice, is_usable, peak_normalize,
                          read_wav, read_wav_48k, write_wav)
 
-from conftest import speechlike
+from conftest import speechlike, wav_bytes
 
 
 def test_frame_is_immutable_and_mono():
@@ -53,18 +56,70 @@ def test_wav_multichannel_downmix(tmp_path):
 
 
 def test_read_wav_rejects_garbage(tmp_path):
-    import struct
     p = tmp_path / "bad.wav"
     p.write_bytes(b"not audio at all")
     with pytest.raises(AudioFormatError):
         read_wav(p)
-    # a 16-bit data chunk of 3 bytes holds one and a half samples
-    fmt = struct.pack("<HHIIHH", 1, 1, 48000, 96000, 2, 16)
-    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", 3) + b"\x01\x02\x03\x00")
-    p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-    with pytest.raises(AudioFormatError):
-        read_wav(p)
+    one_sample = np.float32(0.5).tobytes()
+    for blob in (
+            # a 16-bit data chunk of 3 bytes holds one and a half samples
+            wav_bytes(b"\x01\x02\x03", fmt_tag=1, bits=16),
+            wav_bytes(one_sample, rate=0),
+            wav_bytes(np.float32(np.nan).tobytes()),
+            # a fmt chunk declaring 16 bytes with 4 present
+            b"RIFF\x18\x00\x00\x00WAVEfmt \x10\x00\x00\x00\x03\x00\x01\x00"):
+        p.write_bytes(blob)
+        with pytest.raises(AudioFormatError):
+            read_wav(p)
+
+
+def _fuzzed_tail(tag, channels, rate, bits, extra, fmt_size, payload,
+                 declared, junk) -> bytes:
+    """What follows `fmt `: a fmt chunk and a data chunk with arbitrary
+    fields and sizes, then arbitrary bytes."""
+    fields = struct.pack("<HHIIHH", tag, channels, rate, 0, 0, bits) + extra
+    if fmt_size is None:
+        fmt_size = len(fields)
+    if declared is None:
+        declared = len(payload)
+    return (struct.pack("<I", fmt_size) + fields + b"data"
+            + struct.pack("<I", declared) + payload + junk)
+
+
+_u16 = st.integers(0, 0xFFFF)
+_u32 = st.integers(0, 0xFFFFFFFF)
+_WAV_TAILS = st.one_of(
+    st.binary(max_size=96),
+    st.builds(
+        _fuzzed_tail,
+        tag=st.sampled_from([1, 3, 0xFFFE]) | _u16,
+        channels=st.sampled_from([0, 1, 2, 3]) | _u16,
+        rate=st.sampled_from([0, 1, 16000, 48000]) | _u32,
+        bits=st.sampled_from([0, 16, 24, 32]) | _u16,
+        extra=st.binary(max_size=28),
+        fmt_size=st.none() | _u32,
+        payload=st.binary(max_size=64),
+        declared=st.none() | _u32,
+        junk=st.binary(max_size=16)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "x.wav"
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail=_WAV_TAILS)
+def test_read_wav_fuzzed(fuzz_path, tail):
+    """Whatever follows a valid RIFF/WAVE/fmt prefix, read_wav returns a
+    frame or raises AudioFormatError, nothing else."""
+    body = b"WAVEfmt " + tail
+    fuzz_path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    try:
+        frame = read_wav(fuzz_path)
+    except AudioFormatError:
+        return
+    assert isinstance(frame, AudioFrame) and frame.sample_rate > 0
 
 
 def test_read_wav_48k_rejects_other_rates(tmp_path):

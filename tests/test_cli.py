@@ -9,7 +9,7 @@ from sesqa.cli import (EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, UsageError,
                        main, resolve_option)
 from sesqa.audio import write_wav
 
-from conftest import speechlike
+from conftest import speechlike, wav_bytes
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +210,23 @@ def test_other_rates_rejected(checkpoint, tmp_path, capsys):
     rc = main(["analyze", "--checkpoint", str(checkpoint), "--mode", "sweep",
                "--clean", str(low), "--kind", "additive_noise"])
     assert rc == EXIT_USAGE
+
+
+def test_bad_reference_exit_code(checkpoint, tmp_path, capsys):
+    ok, short, rate0 = (tmp_path / n for n in ("ok.wav", "short.wav",
+                                               "rate0.wav"))
+    write_wav(speechlike(seed=80, seconds=1.0), ok)
+    write_wav(speechlike(seed=82, seconds=600 / 48000), short)
+    rate0.write_bytes(wav_bytes(np.zeros(4800, "<f4").tobytes(), rate=0))
+    for ref in (short, rate0):
+        rc = main(["score", "--checkpoint", str(checkpoint),
+                   "--reference", str(ref), str(ok)])
+        assert rc == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: reference %s" % ref)
+    rc = main(["score", "--checkpoint", str(checkpoint), str(rate0)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("%s\tERROR" % rate0)
 
 
 def test_score_command(workdir, checkpoint, tmp_path, capsys):

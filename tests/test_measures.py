@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_toeplitz
 
+from sesqa import measures
 from sesqa.measures import (MEASURE_NAMES, UNAVAILABLE_MEASURES,
                             MeasureNormalizer, MeasureUnavailableError,
                             compute_measure, compute_measure_vector,
-                            fit_normalizer, read_measure_cache,
-                            write_measure_cache)
+                            fit_normalizer)
 
 from conftest import speechlike
 
@@ -92,16 +93,114 @@ def test_normalizer_failure_modes(clean):
         fit_normalizer(one * 3)
 
 
-def test_measure_cache_roundtrip(tmp_path, clean):
-    rng = np.random.default_rng(5)
-    noise = rng.normal(size=len(clean)).astype(np.float32)
-    lookup = {i: compute_measure_vector(clean, _at_snr(clean, noise, s))
-              for i, s in enumerate((20.0, 10.0))}
-    path = tmp_path / "measures.jsonl"
-    write_measure_cache(path, lookup.items())
-    back = read_measure_cache(path)
-    assert set(back) == set(lookup)
-    for k in lookup:
-        assert back[k].masked == lookup[k].masked
-        for name, v in lookup[k].values.items():
-            assert np.isclose(back[k].values[name], v, rtol=1e-12)
+# Frame-by-frame reference implementations of the batched kernels.
+
+def _frame_gather(x, size, hop, window=None):
+    n = 1 + (len(x) - size) // hop
+    frames = x[hop * np.arange(n)[:, None] + np.arange(size)]
+    return frames if window is None else frames * window
+
+
+def _levinson_row(r, order):
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    for i in range(1, order + 1):
+        if err <= 1e-12:  # perfectly predictable: stop early
+            break
+        acc = r[i] + np.dot(a[1:i], r[i - 1:0:-1])
+        k = -acc / err
+        a[1:i + 1] += k * a[i - 1::-1][:i]
+        err *= 1.0 - k * k
+    return a
+
+
+def _wss_peaks_row(db, sl):
+    n_bands = len(db)
+    loc_peak = np.empty(n_bands - 1)
+    for j in range(n_bands - 1):
+        k = j
+        if sl[j] > 0:  # rising: walk up to the next local maximum
+            while k < n_bands - 1 and db[k + 1] > db[k]:
+                k += 1
+        else:  # falling: nearest peak is behind
+            while k > 0 and db[k - 1] > db[k]:
+                k -= 1
+        loc_peak[j] = db[k]
+    return loc_peak
+
+
+def _autocorr_direct(frame, order):
+    return np.array([frame[:len(frame) - k] @ frame[k:]
+                     for k in range(order + 1)])
+
+
+@pytest.mark.parametrize("window", [None, np.hanning(1440)])
+def test_frame_matches_gather(clean, window):
+    x = clean.astype(np.float64)
+    np.testing.assert_array_equal(measures._frame(x, 1440, 360, window),
+                                  _frame_gather(x, 1440, 360, window))
+
+
+def test_levinson_matches_scalar():
+    order = 16
+    rng = np.random.default_rng(6)
+    white = rng.normal(size=(6, 1440))
+    colored = white[:, 1:] + 0.5 * white[:, :-1]
+    rows = [_autocorr_direct(f, order) for f in (*white, *colored)]
+    # an all-zero frame, and a pure sinusoid predictable from two lags
+    stops = [np.zeros(order + 1), np.cos(0.3 * np.arange(order + 1))]
+    r = np.array(rows + stops)
+    want = np.array([_levinson_row(row, order) for row in r])
+    assert np.all(want[-2:, 3:] == 0.0)  # both stopped early
+    np.testing.assert_allclose(measures._levinson(r, order), want,
+                               rtol=0, atol=1e-12)
+
+
+def test_wss_peaks_match_loop():
+    rng = np.random.default_rng(7)
+    # integer dB values: many equal neighbours (plateaus)
+    db = np.round(rng.normal(0.0, 2.0, size=(200, 25)))
+    ramp = np.arange(25.0)
+    db = np.vstack([db, rng.normal(size=(50, 25)) * 30.0,
+                    ramp, -ramp, np.zeros(25), np.minimum(ramp, 12.0)])
+    slope = np.diff(db, axis=1)
+    want = np.array([_wss_peaks_row(d, s) for d, s in zip(db, slope)])
+    np.testing.assert_array_equal(measures._wss_peaks(db, slope), want)
+
+
+def test_wssd_matches_loop(clean):
+    noise = np.random.default_rng(1).normal(size=len(clean))
+    ref = clean.astype(np.float64)
+    deg = _at_snr(clean, noise, 10.0).astype(np.float64)
+    win = np.hanning(1440)
+    db_r = measures._wss_band_db(_frame_gather(ref, 1440, 360, win), RATE)
+    db_d = measures._wss_band_db(_frame_gather(deg, 1440, 360, win), RATE)
+    vals = []
+    for r, d in zip(db_r, db_d):
+        sl_r, sl_d = np.diff(r), np.diff(d)
+        w = (20.0 / (20.0 + r.max() - r[:-1])
+             * (1.0 / (1.0 + _wss_peaks_row(r, sl_r) - r[:-1])))
+        vals.append(np.sum(w * (sl_r - sl_d) ** 2) / np.sum(w))
+    assert measures.wssd(ref, deg) == np.mean(vals)
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 0.0])
+def test_llr_matches_toeplitz_lpc(clean, snr_db):
+    order = 16
+    noise = np.random.default_rng(1).normal(size=len(clean))
+    ref = clean.astype(np.float64)
+    deg = _at_snr(clean, noise, snr_db).astype(np.float64)
+    win = np.hanning(1440)
+    vals = []
+    for fr, fd in zip(_frame_gather(ref, 1440, 360, win),
+                      _frame_gather(deg, 1440, 360, win)):
+        ac_r = _autocorr_direct(fr, order)
+        ac_d = _autocorr_direct(fd, order)
+        a_r = np.r_[1.0, solve_toeplitz(ac_r[:order], -ac_r[1:])]
+        a_d = np.r_[1.0, solve_toeplitz(ac_d[:order], -ac_d[1:])]
+        big_r = ac_r[np.abs(np.subtract.outer(np.arange(order + 1),
+                                              np.arange(order + 1)))]
+        vals.append(np.log((a_d @ big_r @ a_d) / (a_r @ big_r @ a_r)))
+    assert np.isclose(measures.llr(ref, deg), np.mean(vals),
+                      rtol=1e-9, atol=0)
