@@ -22,6 +22,7 @@ from .degrade import (CleanPool, PoolExhaustedError, FIRST_STAGE,
                       SECOND_STAGE, read_quadruple_manifest,
                       write_quadruple_manifest)
 from .degrade.quadruples import iter_quadruples, load_quadruple
+from .manifest import ManifestError
 from .measures import MEASURE_NAMES, compute_measure_vector
 from .model import CheckpointError, Model, ModelConfig, load_checkpoint
 from .objectives import LOSS_NAMES
@@ -219,8 +220,7 @@ def cmd_eval(args, file_config) -> int:
         if args.kfold:
             split = evaluation.kfold_split(len(items), args.kfold,
                                            seed=args.seed or 0)
-            folds = [evaluation.eval_mos(preds[f], labels[f])
-                     for f in split.folds]
+            folds = [evaluation.eval_mos(preds[f], labels[f]) for f in split]
             report["l_mos_folds"] = folds
             report["l_mos"] = float(np.mean(folds))
         else:
@@ -260,8 +260,7 @@ def cmd_score(args, file_config) -> int:
         try:
             z, s = model.infer([read_wav_48k(path).samples])
             if ref_z is not None:
-                s = model.score_pair_reference(z, ref_z,
-                                               variant=args.variant)
+                s = model.score_reference(z, ref_z)
             print("%s\t%.4f" % (path, float(s[0])))
         except (OSError, AudioFormatError, DegenerateInputError,
                 ValueError) as e:
@@ -358,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("score", help="score WAV files")
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--reference")
-    s.add_argument("--variant", default="dual-linear")
     s.add_argument("wavs", nargs="+")
 
     a = sub.add_parser("analyze", help="latent analyses")
@@ -383,7 +381,7 @@ def main(argv=None) -> int:
     try:
         file_config = _load_config_file(args.config)
         return _COMMANDS[args.command](args, file_config)
-    except (UsageError, PoolExhaustedError, FileNotFoundError,
+    except (UsageError, ManifestError, PoolExhaustedError, FileNotFoundError,
             AudioFormatError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..audio import (AudioFrame, CANONICAL_RATE, FrameSlice, extract_slice,
                      is_usable, peak_normalize, read_wav, write_wav)
+from ..manifest import read_jsonl, str_field
 from .chains import DegradationSpec, sample_chain
 from .kernels import apply_chain
 from .kinds import KIND_NAMES, NATIVE_KINDS
@@ -186,21 +187,27 @@ def write_quadruple_manifest(quadruples, wav_dir, manifest_path,
             f.write(json.dumps(rec) + "\n")
 
 
+def _spec(d) -> DegradationSpec:
+    if not isinstance(d, dict):
+        raise TypeError("chain entry is not a JSON object")
+    if d["kind"] not in _KIND_INDEX:
+        raise ValueError("unknown degradation kind %r" % (d["kind"],))
+    return DegradationSpec.from_dict(d)
+
+
+def _quadruple_record(rec) -> dict:
+    for tag in ("ik", "il", "jk", "jl"):
+        str_field(rec, "wav_" + tag)
+    rec["delay_ms"] = float(rec["delay_ms"])
+    rec["chain_i"] = [_spec(d) for d in rec["chain_i"]]
+    rec["chain_j"] = [_spec(d) for d in rec["chain_j"]]
+    return rec
+
+
 def read_quadruple_manifest(manifest_path) -> list:
-    """Parse manifest records; chains come back as DegradationSpec lists."""
-    records = []
-    with open(manifest_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            rec["chain_i"] = [DegradationSpec.from_dict(d)
-                              for d in rec["chain_i"]]
-            rec["chain_j"] = [DegradationSpec.from_dict(d)
-                              for d in rec["chain_j"]]
-            records.append(rec)
-    return records
+    """Parse manifest records; chains come back as DegradationSpec lists.
+    A malformed record raises ManifestError."""
+    return read_jsonl(manifest_path, _quadruple_record)
 
 
 def load_quadruple(rec) -> Quadruple:

@@ -7,31 +7,18 @@ consistency value over quadruples (and optionally distinguishable pairs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import stats
 
 from .degrade.chains import sample_spec
 from .degrade.kernels import apply_degradation
+from .objectives import DEFAULT_BETA
 
-DEFAULT_BETA = 0.1
 SWEEP_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)   # DS1..DS5
 
 
 class UndefinedCorrelationError(ValueError):
     """Correlation undefined (constant input array)."""
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    l_mos: float
-    r_rank: float
-    l_cons: float
-
-    @property
-    def e_total(self) -> float:
-        return e_total(self.l_mos, self.r_rank, self.l_cons)
 
 
 def eval_mos(predictions, labels) -> float:
@@ -120,20 +107,14 @@ def human_baseline(listener_scores) -> float:
     return float(np.mean(stds))
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    folds: tuple
-    seed: int
-
-
-def kfold_split(n_items: int, k: int, seed: int = 0) -> FoldSplit:
-    """Disjoint, exhaustive folds with sizes differing by at most 1."""
+def kfold_split(n_items: int, k: int, seed: int = 0) -> tuple:
+    """Disjoint, exhaustive folds (index arrays) with sizes differing by
+    at most 1."""
     if n_items < k:
         raise ValueError("cannot split %d items into %d folds"
                          % (n_items, k))
     perm = np.random.default_rng(seed).permutation(n_items)
-    return FoldSplit(folds=tuple(np.sort(f) for f in
-                                 np.array_split(perm, k)), seed=seed)
+    return tuple(np.sort(f) for f in np.array_split(perm, k))
 
 
 # -------------------------------------------------------- model analyses

@@ -403,25 +403,23 @@ def compute_measure(kind: str, reference, degraded, sample_rate=48000) -> float:
 class MeasureVector:
     """Measure values for one (reference, degraded) pair.
 
-    `values` holds the computed measures; anything requested but not
-    computable (unavailable or degenerate) is listed in `masked`.
+    `values` holds the computed measures; a measure requested but not
+    computable (unavailable or degenerate) is left out.
     """
 
     values: dict = field(default_factory=dict)
-    masked: tuple = ()
 
 
 def compute_measure_vector(reference, degraded, sample_rate=48000,
                            names=MEASURE_NAMES) -> MeasureVector:
     values = {}
-    masked = []
     for name in names:
         try:
             values[name] = compute_measure(name, reference, degraded,
                                            sample_rate=sample_rate)
         except (MeasureUnavailableError, DegenerateInputError):
-            masked.append(name)
-    return MeasureVector(values=values, masked=tuple(masked))
+            pass
+    return MeasureVector(values=values)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ classification probabilities, and measure regressions.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -26,8 +27,6 @@ PAD_MULTIPLE = 256          # four x4 reductions must divide the input
 MIN_INPUT_SAMPLES = 5 * PAD_MULTIPLE
 LATENT_DIM = 200
 INFER_BATCH = 16            # rows per forward pass in Model.infer
-
-PAIR_VARIANTS = ("dual-linear", "diff-linear", "concat-linear")
 
 
 class CheckpointError(ValueError):
@@ -47,26 +46,6 @@ class ModelConfig:
 
 def _softplus_inverse(y: float) -> float:
     return float(np.log(np.expm1(y)))
-
-
-def pair_score(z_i: np.ndarray, z_j: np.ndarray, w: np.ndarray, b: float,
-               variant: str) -> np.ndarray:
-    """Reference-based score in (1,5) from two latents."""
-    if variant == "dual-linear":
-        if w.shape[0] != z_i.shape[-1]:
-            raise ValueError("dual-linear weight must match latent dim")
-        logit = z_i @ w - z_j @ w + b
-    elif variant == "diff-linear":
-        if w.shape[0] != z_i.shape[-1]:
-            raise ValueError("diff-linear weight must match latent dim")
-        logit = (z_i - z_j) @ w + b
-    elif variant == "concat-linear":
-        if w.shape[0] != 2 * z_i.shape[-1]:
-            raise ValueError("concat-linear weight must have twice the latent dim")
-        logit = np.concatenate([z_i, z_j], axis=-1) @ w + b
-    else:
-        raise ValueError("unknown pair-score variant %r" % variant)
-    return 1.0 + 4.0 / (1.0 + np.exp(-logit))
 
 
 class Model:
@@ -144,8 +123,8 @@ class Model:
         n_dt = cfg.n_kinds + 1  # extra coordinate for the clean class
         self._param("head.score.w", self._linear_init(rng, D, 1))
         self._param("head.score.b", np.zeros(1))
-        self._param("head.score_pair.w", self._linear_init(rng, P, 1))
-        self._param("head.score_pair.b", np.zeros(1))
+        # the draw of a deleted pair-score head: later heads keep their init
+        self._linear_init(rng, P, 1)
 
         self._param("head.jnd.w", self._linear_init(rng, P, 1))
         self._param("head.jnd.b", np.zeros(1))
@@ -236,16 +215,13 @@ class Model:
         s = ad.add_const(ad.mul_const(ad.sigmoid(logit), 4.0), 1.0)
         return ad.reshape(s, (-1,))
 
-    def score_pair_reference(self, z_i, z_j, variant="dual-linear"):
-        z_i = np.atleast_2d(np.asarray(z_i, dtype=DTYPE))
-        z_j = np.atleast_2d(np.asarray(z_j, dtype=DTYPE))
-        if variant == "concat-linear":
-            w = self.params["head.score_pair.w"].data[:, 0]
-            b = float(self.params["head.score_pair.b"].data[0])
-        else:
-            w = self.params["head.score.w"].data[:, 0]
-            b = float(self.params["head.score.b"].data[0])
-        return pair_score(z_i, z_j, w, b, variant)
+    def score_reference(self, z, z_ref) -> np.ndarray:
+        """Score in (1,5) of latents `z` relative to reference latents:
+        1 + 4*sigmoid((z - z_ref) @ w + b) on the trained score head."""
+        w = self.params["head.score.w"].data[:, 0]
+        b = float(self.params["head.score.b"].data[0])
+        logit = z @ w - z_ref @ w + b
+        return 1.0 + 4.0 / (1.0 + np.exp(-logit))
 
     def _mlp_head(self, name, x, train):
         p = self.params
@@ -293,15 +269,16 @@ class Model:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]):
+        """Install saved tensors; names the model lacks are ignored."""
         expected = self.state_arrays()
         missing = set(expected) - set(arrays)
         if missing:
             raise CheckpointError("missing tensors: %s" % sorted(missing)[:5])
-        for name, t in self.params.items():
-            a = np.asarray(arrays[name], dtype=DTYPE)
-            if a.shape != t.data.shape:
+        for name, a in expected.items():
+            if np.shape(arrays[name]) != a.shape:
                 raise CheckpointError("shape mismatch for %s" % name)
-            t.data = a.copy()
+        for name, t in self.params.items():
+            t.data = np.asarray(arrays[name], dtype=DTYPE).copy()
         for name, bn in self.bns.items():
             bn.running_mean = np.asarray(arrays[name + ".running_mean"],
                                          dtype=DTYPE).copy()
@@ -337,7 +314,70 @@ def save_checkpoint(model: Model, path) -> None:
                 entry["dtype"]).tobytes())
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _meta_config(c, n_bytes: int) -> ModelConfig:
+    """The ModelConfig of a checkpoint's `config` block.
+
+    Model(config) allocates every parameter before the tensors are read,
+    so a config whose widest weights alone would not fit in the `n_bytes`
+    of the file is refused first: a corrupt width cannot allocate more
+    than the file's own size."""
+    mult, n_kinds = c["channel_mult"], c["n_kinds"]
+    names, seed = c["measure_names"], c["seed"]
+    if not (isinstance(mult, (int, float)) and not isinstance(mult, bool)
+            and 0 < mult < math.inf):
+        raise CheckpointError("bad channel_mult %r" % (mult,))
+    if not (_is_int(n_kinds) and n_kinds >= 1):
+        raise CheckpointError("bad n_kinds %r" % (n_kinds,))
+    if not (isinstance(names, list)
+            and all(isinstance(n, str) for n in names)):
+        raise CheckpointError("bad measure_names %r" % (names,))
+    if not (_is_int(seed) and seed >= 0):
+        raise CheckpointError("bad seed %r" % (seed,))
+    # six (ch(512), ch(512), 3) residual convs, the ds and mr output layers
+    width = max(1, 512 * mult - 1)
+    need = 4 * (18 * width * width + 400 * (n_kinds + max(1, len(names))))
+    if need > n_bytes:
+        raise CheckpointError("config needs more tensor data than the "
+                              "file holds")
+    return ModelConfig(channel_mult=mult, n_kinds=n_kinds,
+                       measure_names=tuple(names), seed=seed)
+
+
+def _read_tensors(entries, data: bytes, offset: int) -> dict:
+    """name -> array for each tensor directory entry, read from `data`."""
+    if not isinstance(entries, list):
+        raise CheckpointError("tensor directory is not a list")
+    arrays = {}
+    for entry in entries:
+        try:
+            name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
+            dt = np.dtype(dtype) if isinstance(dtype, str) else None
+        except (KeyError, TypeError) as e:
+            raise CheckpointError("bad tensor entry %r: %s" % (entry, e))
+        if dt is None or dt.kind not in "fiu":
+            raise CheckpointError("bad dtype %r in tensor entry" % (dtype,))
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(_is_int(d) and d >= 0 for d in shape)):
+            raise CheckpointError("bad tensor entry %r" % (entry,))
+        count = math.prod(shape)
+        nbytes = count * dt.itemsize
+        if offset + nbytes > len(data):
+            raise CheckpointError("truncated tensor data for %s" % name)
+        arrays[name] = np.frombuffer(
+            data, dtype=dt, count=count, offset=offset).reshape(shape)
+        offset += nbytes
+    return arrays
+
+
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint; any malformed content raises CheckpointError.
+
+    Tensors in the file that the model does not have (such as the
+    pair-score head of older checkpoints) are ignored."""
     from .measures import MeasureNormalizer
 
     with open(path, "rb") as f:
@@ -349,34 +389,25 @@ def load_checkpoint(path) -> Model:
         raise CheckpointError("checkpoint version %d, expected %d"
                               % (version, CHECKPOINT_VERSION))
     (meta_len,) = struct.unpack_from("<I", data, 8)
+    if 12 + meta_len > len(data):
+        raise CheckpointError("truncated metadata block")
     try:
         meta = json.loads(data[12:12 + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # not UTF-8, not JSON, or an overlong number
         raise CheckpointError("corrupt metadata block: %s" % e)
 
     try:
-        c = meta["config"]
-        cfg = ModelConfig(channel_mult=c["channel_mult"],
-                          n_kinds=c["n_kinds"],
-                          measure_names=tuple(c["measure_names"]),
-                          seed=c["seed"])
+        cfg = _meta_config(meta["config"], len(data))
         entries = meta["tensors"]
     except (KeyError, TypeError) as e:
         raise CheckpointError("incomplete metadata block: %r" % e)
+    arrays = _read_tensors(entries, data, 12 + meta_len)
     model = Model(cfg)
-
-    offset = 12 + meta_len
-    arrays = {}
-    for entry in entries:
-        dt = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * dt.itemsize
-        if offset + nbytes > len(data):
-            raise CheckpointError("truncated tensor data for %s" % entry["name"])
-        arrays[entry["name"]] = np.frombuffer(
-            data, dtype=dt, count=count, offset=offset).reshape(entry["shape"])
-        offset += nbytes
     model.load_state_arrays(arrays)
     if meta.get("normalizer"):
-        model.normalizer = MeasureNormalizer.from_dict(meta["normalizer"])
+        try:
+            model.normalizer = MeasureNormalizer.from_dict(meta["normalizer"])
+        except (KeyError, TypeError, AttributeError, ValueError,
+                OverflowError) as e:
+            raise CheckpointError("bad normalizer block: %r" % e)
     return model

@@ -245,50 +245,3 @@ def linear(x, w, b):
         _accum(b, g.sum(axis=0))
 
     return _make(x.data @ w.data + b.data, (x, w, b), backward)
-
-
-def gradient_check(fn, tensors, n_coords=None, step=1e-5, kink_tol=1e-6,
-                   rng=None):
-    """Max relative error between reverse-mode and central differences.
-
-    `fn` must return a scalar Tensor computed from `tensors` (all float64,
-    requires_grad). Coordinates sitting exactly on a ReLU/abs kink are
-    nudged away before checking. When n_coords is given, that many random
-    coordinates per tensor are probed instead of all of them.
-    """
-    rng = rng or np.random.default_rng(0)
-    for t in tensors:
-        if t.data.dtype != np.float64:
-            raise ValueError("gradient_check requires float64 tensors")
-        flat = t.data.reshape(-1)
-        near = np.abs(flat) < kink_tol
-        flat[near] += 2 * kink_tol  # nudge off potential kinks at zero
-
-    out = fn()
-    if not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("non-finite output in gradient_check")
-    for t in tensors:
-        t.grad = None
-    out.backward()
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-                for t in tensors]
-
-    max_rel = 0.0
-    for t, a in zip(tensors, analytic):
-        flat = t.data.reshape(-1)
-        aflat = a.reshape(-1)
-        if n_coords is None or n_coords >= flat.size:
-            coords = np.arange(flat.size)
-        else:
-            coords = rng.choice(flat.size, size=n_coords, replace=False)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = float(fn().data)
-            flat[i] = orig - step
-            fm = float(fn().data)
-            flat[i] = orig
-            num = (fp - fm) / (2 * step)
-            denom = max(1.0, abs(num) + abs(aflat[i]))
-            max_rel = max(max_rel, abs(num - aflat[i]) / denom)
-    return max_rel

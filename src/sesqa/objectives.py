@@ -23,22 +23,12 @@ DEFAULT_BETA = 0.1    # consistency separation margin
 
 @dataclass(frozen=True)
 class LossConfig:
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
     loss_mask: tuple = LOSS_NAMES
-    # 'normalized' zeroes the separation term for well-separated pairs;
-    # 'literal' keeps the printed constant (same gradients, offset +4.5)
-    cons_term_form: str = "normalized"
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("margins must be positive")
         unknown = set(self.loss_mask) - set(LOSS_NAMES)
         if unknown:
             raise ValueError("unknown losses in mask: %s" % sorted(unknown))
-        if self.cons_term_form not in ("normalized", "literal"):
-            raise ValueError("cons_term_form must be 'normalized' or "
-                             "'literal'")
 
     def enabled(self, name: str) -> bool:
         return name in self.loss_mask
@@ -81,18 +71,15 @@ def loss_rank(s_i: Tensor, s_j: Tensor, alpha=DEFAULT_ALPHA,
                         s_i.data.shape).copy())))
 
 
-def _separation_term(a: Tensor, b: Tensor, beta: float,
-                     form: str) -> Tensor:
+def _separation_term(a: Tensor, b: Tensor, beta: float) -> Tensor:
     """Margin term pushing distinguishable pairs at least beta apart."""
     gap = ad.clamp_max(ad.absolute(a - b), beta)
-    const = beta if form == "normalized" else 1.0
-    return ad.mul_const(ad.add_const(ad.mul_const(gap, -1.0), const),
+    return ad.mul_const(ad.add_const(ad.mul_const(gap, -1.0), beta),
                         1.0 / (2.0 * beta))
 
 
 def loss_cons(s_ik: Tensor, s_il: Tensor, s_jk: Tensor, s_jl: Tensor,
-              beta=DEFAULT_BETA, form="normalized",
-              extra_pairs=None) -> Tensor:
+              beta=DEFAULT_BETA, extra_pairs=None) -> Tensor:
     """Consistency over quadruple scores (plus optional extra
     distinguishable pairs, e.g. noticeable JND pairs).
 
@@ -105,11 +92,11 @@ def loss_cons(s_ik: Tensor, s_il: Tensor, s_jk: Tensor, s_jl: Tensor,
     diff_l = ad.absolute(s_il - s_jl)
     agree = ad.absolute(diff_k - diff_l)
     per_quad = (ad.mul_const(same + agree, 0.25)
-                + _separation_term(s_ik, s_jk, beta, form))
+                + _separation_term(s_ik, s_jk, beta))
     pieces = [ad.reshape(per_quad, (-1,))]
     if extra_pairs is not None:
         a, b = extra_pairs
-        pieces.append(ad.reshape(_separation_term(a, b, beta, form), (-1,)))
+        pieces.append(ad.reshape(_separation_term(a, b, beta), (-1,)))
     return ad.mean(ad.concat(pieces)) if len(pieces) > 1 else ad.mean(pieces[0])
 
 

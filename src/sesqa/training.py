@@ -17,6 +17,7 @@ import numpy as np
 
 from . import ad, objectives
 from .audio import read_wav_48k
+from .manifest import read_jsonl, str_field
 from .measures import fit_normalizer
 from .model import Model, save_checkpoint
 from .objectives import LossConfig
@@ -30,66 +31,44 @@ QH_BETA2 = 0.999
 QH_EPS = 1e-8
 LOOKAHEAD_K = 6
 LOOKAHEAD_ALPHA = 0.5
+DECAY_POINTS = (0.7, 0.9)       # fractions of all steps where the LR drops
+DECAY_FACTOR = 0.2
+BATCH_RATIOS = (0.5, 0.25, 0.25)  # quadruple/MOS/JND item shares
+GAIN_RANGE_DB = (-6.0, 0.0)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
     base_lr: float = 1e-3
-    decay_points: tuple = (0.7, 0.9)
-    decay_factor: float = 0.2
     batch_size: int = 32          # quadruples per step
-    ratios: tuple = (0.5, 0.25, 0.25)  # quadruple/MOS/JND item shares
-    gain_range_db: tuple = (-6.0, 0.0)
     loss_mask: tuple = objectives.LOSS_NAMES
-    alpha: float = objectives.DEFAULT_ALPHA
-    beta: float = objectives.DEFAULT_BETA
-    cons_term_form: str = "normalized"
-    swa: bool = True
     seed: int = 0
-
-    def __post_init__(self):
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError("batch composition ratios must sum to 1")
-        pts = self.decay_points
-        if list(pts) != sorted(pts) or not all(0 < p < 1 for p in pts):
-            raise ValueError("decay points must be ascending in (0,1)")
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(alpha=self.alpha, beta=self.beta,
-                          loss_mask=tuple(self.loss_mask),
-                          cons_term_form=self.cons_term_form)
 
 
 # ---------------------------------------------------------- data loading
 
+def _mos_record(rec) -> dict:
+    return {"path": str_field(rec, "path"), "mos": float(rec["mos"]),
+            "listener_scores": [float(v) for v in
+                                rec.get("listener_scores", [])]}
+
+
+def _jnd_record(rec) -> dict:
+    return {"path_a": str_field(rec, "path_a"),
+            "path_b": str_field(rec, "path_b"), "jnd": float(rec["jnd"])}
+
+
 def read_mos_manifest(path) -> list:
-    """JSON-lines: {path, mos, listener_scores?} per recording."""
-    items = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            items.append({"path": rec["path"], "mos": float(rec["mos"]),
-                          "listener_scores": [float(v) for v in
-                                              rec.get("listener_scores", [])]})
-    return items
+    """JSON-lines: {path, mos, listener_scores?} per recording. A
+    malformed record raises ManifestError."""
+    return read_jsonl(path, _mos_record)
 
 
 def read_jnd_manifest(path) -> list:
-    """JSON-lines: {path_a, path_b, jnd} per pair (jnd=1: noticeable)."""
-    items = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            items.append({"path_a": rec["path_a"], "path_b": rec["path_b"],
-                          "jnd": float(rec["jnd"])})
-    return items
+    """JSON-lines: {path_a, path_b, jnd} per pair (jnd=1: noticeable). A
+    malformed record raises ManifestError."""
+    return read_jsonl(path, _jnd_record)
 
 
 def load_mos_items(manifest) -> list:
@@ -119,19 +98,18 @@ def load_jnd_items(manifest) -> list:
 
 # ---------------------------------------------------------- augmentation
 
-def augment(frames, rng: np.random.Generator,
-            gain_range_db=(-6.0, 0.0), crop=FRAME_SAMPLES):
-    """Random gain, sign flip, and temporal crop, applied identically to
-    every member of `frames` (preserves intra-quadruple relations)."""
+def augment(frames, rng: np.random.Generator):
+    """Random gain, sign flip, and 1 s temporal crop, applied identically
+    to every member of `frames` (preserves intra-quadruple relations)."""
     frames = [np.asarray(f) for f in frames]
     n = min(len(f) for f in frames)
-    if n < crop:
+    if n < FRAME_SAMPLES:
         raise ValueError("frame shorter than the crop length")
-    gain = 10.0 ** (rng.uniform(*gain_range_db) / 20.0)
+    gain = 10.0 ** (rng.uniform(*GAIN_RANGE_DB) / 20.0)
     if rng.random() < 0.5:
         gain = -gain
-    off = int(rng.integers(0, n - crop + 1))
-    return [gain * f[off:off + crop] for f in frames]
+    off = int(rng.integers(0, n - FRAME_SAMPLES + 1))
+    return [gain * f[off:off + FRAME_SAMPLES] for f in frames]
 
 
 # --------------------------------------------------------------- batches
@@ -154,18 +132,18 @@ class Batch:
 
 def assemble_batch(quads, indices, rng: np.random.Generator,
                    mos_items=None, jnd_items=None, measure_lookup=None,
-                   measure_names=(), normalizer=None,
-                   gain_range_db=(-6.0, 0.0), ratios=(0.5, 0.25, 0.25)):
+                   measure_names=(), normalizer=None):
     """Build a Batch from quadruples `indices` plus MOS/JND side data.
 
-    Item shares follow `ratios` (quadruples/MOS/JND); missing sources
+    Item shares follow BATCH_RATIOS (quadruples/MOS/JND); missing sources
     degrade gracefully to a quadruple-only batch.
     """
     if len(indices) == 0:
         raise ValueError("empty quadruple selection")
     n_q = len(indices)
-    n_m = int(round(n_q * ratios[1] / ratios[0])) if mos_items else 0
-    n_j = int(round(n_q * ratios[2] / ratios[0])) if jnd_items else 0
+    r_q, r_m, r_j = BATCH_RATIOS
+    n_m = int(round(n_q * r_m / r_q)) if mos_items else 0
+    n_j = int(round(n_q * r_j / r_q)) if jnd_items else 0
 
     qf = np.empty((n_q, 4, FRAME_SAMPLES), dtype=np.float32)
     dt = np.empty((n_q, 2, 0), dtype=np.float32)
@@ -175,8 +153,7 @@ def assemble_batch(quads, indices, rng: np.random.Generator,
     for row, idx in enumerate(indices):
         q = quads[idx]
         ids.append(idx)
-        frames = augment([f.samples for f in q.frames()], rng,
-                         gain_range_db=gain_range_db)
+        frames = augment([f.samples for f in q.frames()], rng)
         for col, f in enumerate(frames):
             qf[row, col] = f
         if first:
@@ -211,8 +188,7 @@ def assemble_batch(quads, indices, rng: np.random.Generator,
         mt = np.empty(n_m, dtype=np.float32)
         for row, pick in enumerate(picks):
             samples, mos = mos_items[pick]
-            mf[row] = augment([samples], rng,
-                              gain_range_db=gain_range_db)[0]
+            mf[row] = augment([samples], rng)[0]
             mt[row] = mos
         batch.mos_frames, batch.mos_targets = mf, mt
 
@@ -222,7 +198,7 @@ def assemble_batch(quads, indices, rng: np.random.Generator,
         jt = np.empty(n_j, dtype=np.float32)
         for row, pick in enumerate(picks):
             a, b, label = jnd_items[pick]
-            fa, fb = augment([a, b], rng, gain_range_db=gain_range_db)
+            fa, fb = augment([a, b], rng)
             jf[row, 0], jf[row, 1] = fa, fb
             jt[row] = label
         batch.jnd_frames, batch.jnd_targets = jf, jt
@@ -285,9 +261,9 @@ def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
         raise ValueError("step out of range")
     frac = step / total_steps
     lr = config.base_lr
-    for point in config.decay_points:
+    for point in DECAY_POINTS:
         if frac >= point:
-            lr *= config.decay_factor
+            lr *= DECAY_FACTOR
     return lr
 
 
@@ -346,8 +322,7 @@ def recalibrate_bn(model: Model, sample_frames) -> None:
 
 # ------------------------------------------------------------- main loop
 
-def _batch_losses(model: Model, batch: Batch, lcfg: LossConfig,
-                  measure_names) -> dict:
+def _batch_losses(model: Model, batch: Batch, lcfg: LossConfig) -> dict:
     """Forward everything once and compute all available loss Tensors."""
     comp = {}
     n_q = batch.quad_frames.shape[0]
@@ -386,8 +361,8 @@ def _batch_losses(model: Model, batch: Batch, lcfg: LossConfig,
 
     if n_q_enc and lcfg.enabled("rank"):
         comp["rank"] = ad.mul_const(
-            objectives.loss_rank(s_ik, s_jk, alpha=lcfg.alpha)
-            + objectives.loss_rank(s_il, s_jl, alpha=lcfg.alpha), 0.5)
+            objectives.loss_rank(s_ik, s_jk)
+            + objectives.loss_rank(s_il, s_jl), 0.5)
     # same-condition pairs (label 1) and cross pairs (label 0)
     if n_q_enc and lcfg.enabled("sd"):
         rows_a = np.concatenate([np.arange(0, 4 * n_q, 4),
@@ -435,7 +410,7 @@ def _batch_losses(model: Model, batch: Batch, lcfg: LossConfig,
             lo = np.where(swap, a, b)
             r_ann = objectives.loss_rank(
                 ad.index_select(s_mos, hi), ad.index_select(s_mos, lo),
-                alpha=lcfg.alpha, targets_i=batch.mos_targets[hi],
+                targets_i=batch.mos_targets[hi],
                 targets_j=batch.mos_targets[lo], annotated=True)
             comp["rank"] = ad.mul_const(comp["rank"] + r_ann, 0.5) \
                 if "rank" in comp else r_ann
@@ -456,9 +431,8 @@ def _batch_losses(model: Model, batch: Batch, lcfg: LossConfig,
                 model.score(ad.index_select(z_b, noticeable, axis=0)))
 
     if n_q_enc and lcfg.enabled("cons"):
-        comp["cons"] = objectives.loss_cons(
-            s_ik, s_il, s_jk, s_jl, beta=lcfg.beta,
-            form=lcfg.cons_term_form, extra_pairs=extra_pairs)
+        comp["cons"] = objectives.loss_cons(s_ik, s_il, s_jk, s_jl,
+                                            extra_pairs=extra_pairs)
     return comp
 
 
@@ -476,7 +450,7 @@ def train(model: Model, config: TrainConfig, quads,
     n_q = len(quads)
     if n_q == 0:
         raise ValueError("no quadruples to train on")
-    lcfg = config.loss_config()
+    lcfg = LossConfig(loss_mask=tuple(config.loss_mask))
     measure_names = tuple(model.config.measure_names)
 
     normalizer = None
@@ -491,7 +465,7 @@ def train(model: Model, config: TrainConfig, quads,
     rng = np.random.default_rng(config.seed)
     steps_per_epoch = math.ceil(n_q / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
-    swa = SwaState() if config.swa else None
+    swa = SwaState()
     opt = QHState(model.params)
     log = []
     log_file = open(log_path, "w") if log_path else None
@@ -506,10 +480,8 @@ def train(model: Model, config: TrainConfig, quads,
                 batch = assemble_batch(
                     quads, indices, rng, mos_items=mos_items,
                     jnd_items=jnd_items, measure_lookup=measure_lookup,
-                    measure_names=measure_names, normalizer=normalizer,
-                    gain_range_db=config.gain_range_db,
-                    ratios=config.ratios)
-                comp = _batch_losses(model, batch, lcfg, measure_names)
+                    measure_names=measure_names, normalizer=normalizer)
+                comp = _batch_losses(model, batch, lcfg)
                 total, report = objectives.total_loss(comp, lcfg)
                 if not np.isfinite(report.total):
                     raise FloatingPointError(
@@ -519,7 +491,7 @@ def train(model: Model, config: TrainConfig, quads,
                 total.backward()
                 lr = lr_at(step, total_steps, config)
                 qh_step(model.params, opt, lr)
-                if swa is not None and epoch == config.epochs - 1:
+                if epoch == config.epochs - 1:
                     swa.absorb(model.params)
                 fired.update(report.values)
                 rec = {"step": step, "epoch": epoch, "lr": lr}
@@ -539,7 +511,7 @@ def train(model: Model, config: TrainConfig, quads,
         if log_file:
             log_file.close()
 
-    if swa is not None and swa.count and last_batch is not None:
+    if swa.count:
         sample = last_batch.quad_frames.reshape(-1, FRAME_SAMPLES)
         swa_finalize(swa, model, sample)
     if checkpoint_path:

@@ -8,6 +8,7 @@ import pytest
 from sesqa.cli import (EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, UsageError,
                        main, resolve_option)
 from sesqa.audio import write_wav
+from sesqa.model import load_checkpoint
 
 from conftest import speechlike, wav_bytes
 
@@ -171,14 +172,50 @@ def test_eval_with_checkpoint(workdir, checkpoint, capsys):
     assert report["l_cons"] >= 0.0
 
 
-def test_corrupt_checkpoint_exit_code(workdir, tmp_path):
+def _with_meta(blob, edit):
+    """A copy of checkpoint bytes `blob` whose metadata passes `edit`."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12:12 + n])
+    edit(meta)
+    new = json.dumps(meta).encode()
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + n:]
+
+
+def test_corrupt_checkpoint_exit_code(workdir, checkpoint, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     meta = b'{"tensors": []}'   # valid magic and version, no "config"
-    for blob in (b"nope", b"SSQA" + struct.pack("<II", 1, len(meta)) + meta):
+    good = checkpoint.read_bytes()
+    blobs = (b"nope", b"SSQA" + struct.pack("<II", 1, len(meta)) + meta,
+             _with_meta(good, lambda m: m["tensors"][0].pop("dtype")),
+             _with_meta(good, lambda m: m["tensors"][0].update(dtype="zz")),
+             _with_meta(good, lambda m: m["config"].update(
+                 channel_mult="0.25")))
+    for blob in blobs:
         bad.write_bytes(blob)
         rc = main(["eval", "--checkpoint", str(bad),
                    "--quadruples", str(workdir["manifest"])])
         assert rc == EXIT_CHECKPOINT
+        assert capsys.readouterr().err.startswith("checkpoint error: ")
+
+
+def test_malformed_manifest_exit_code(workdir, tmp_path, capsys):
+    good = json.loads(workdir["manifest"].read_text().splitlines()[0])
+    no_chain = {k: v for k, v in good.items() if k != "chain_i"}
+    bad_kind = dict(good, chain_j=[{"kind": "warble", "strength": 0.5}])
+    bad = tmp_path / "bad.jsonl"
+    train = ["train", "--out", str(tmp_path / "x.ckpt"), "--channels", "0.25",
+             "--quadruples", str(bad)]
+    mos = ["eval", "--random-baseline", "--mos", str(bad)]
+    cases = ((train, b"{not json\n"),
+             (train, json.dumps(no_chain).encode()),
+             (train, json.dumps(bad_kind).encode()),
+             (mos, b'{"path": "a.wav", "listener_scores": [3]}\n'),
+             (mos, b'{"path": "\xff\xfe.wav", "mos": 3}\n'))
+    for argv, blob in cases:
+        bad.write_bytes(blob)
+        rc = main(argv)
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: %s:1: " % bad)
 
 
 def test_malformed_wav_exit_code(tmp_path):
@@ -237,11 +274,13 @@ def test_score_command(workdir, checkpoint, tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     path, score = line.split("\t")
     assert path == str(wav) and 1.0 < float(score) < 5.0
-    # reference mode
+    # reference mode: a file against itself scores 1 + 4 sigmoid(b)
     rc = main(["score", "--checkpoint", str(checkpoint),
-               "--reference", str(wav), "--variant", "diff-linear",
-               str(wav)])
+               "--reference", str(wav), str(wav)])
     assert rc == EXIT_OK
+    b = float(load_checkpoint(checkpoint).params["head.score.b"].data[0])
+    _, score = capsys.readouterr().out.strip().split("\t")
+    assert abs(float(score) - (1.0 + 4.0 / (1.0 + np.exp(-b)))) < 1e-4
     # unreadable input
     rc = main(["score", "--checkpoint", str(checkpoint),
                str(tmp_path / "missing.wav")])

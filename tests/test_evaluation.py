@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sesqa.evaluation import (EvalReport, UndefinedCorrelationError,
+from sesqa.evaluation import (UndefinedCorrelationError,
                               consistency_values, correlations, e_total,
                               eval_cons, eval_mos, eval_rank, human_baseline,
                               kfold_split)
@@ -50,8 +50,6 @@ def test_consistency_values_vectorized():
 
 def test_e_total_arithmetic():
     assert np.isclose(e_total(0.474, 0.090, 0.067), 0.394)
-    r = EvalReport(l_mos=0.474, r_rank=0.090, l_cons=0.067)
-    assert np.isclose(r.e_total, 0.394)
     assert e_total(0.0, 0.0, 0.0) == 0.0
 
 
@@ -91,13 +89,13 @@ def test_human_baseline():
 
 def test_kfold_split_properties():
     split = kfold_split(10, 3, seed=1)
-    all_items = np.concatenate(split.folds)
+    all_items = np.concatenate(split)
     assert sorted(all_items) == list(range(10))
-    sizes = sorted(len(f) for f in split.folds)
+    sizes = sorted(len(f) for f in split)
     assert sizes == [3, 3, 4]
     # deterministic in the seed
     again = kfold_split(10, 3, seed=1)
-    for a, b in zip(split.folds, again.folds):
+    for a, b in zip(split, again):
         np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
         kfold_split(2, 3)

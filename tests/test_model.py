@@ -1,11 +1,14 @@
+import copy
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sesqa.model import (INFER_BATCH, LATENT_DIM, MIN_INPUT_SAMPLES,
-                         PAIR_VARIANTS, CheckpointError, Model, ModelConfig,
-                         load_checkpoint, pair_score, save_checkpoint)
+                         CheckpointError, Model, ModelConfig, load_checkpoint,
+                         save_checkpoint)
 
 from conftest import speechlike
 
@@ -93,29 +96,22 @@ def test_infer_builds_no_graph(small_model, monkeypatch):
     assert all(p.grad is None for p in small_model.params.values())
 
 
-def test_pair_score_variants(small_model):
+def test_score_reference(small_model):
     x = np.stack([speechlike(seed=4, seconds=1.0).samples,
                   speechlike(seed=5, seconds=1.0).samples])
-    z = small_model.encode(x).data
-    for variant in PAIR_VARIANTS:
-        s = small_model.score_pair_reference(z[:1], z[1:], variant=variant)
-        assert s.shape == (1,)
-        assert 1.0 < float(s[0]) < 5.0
-    with pytest.raises(ValueError):
-        small_model.score_pair_reference(z[:1], z[1:], variant="bogus")
-
-
-def test_pair_score_dual_vs_diff_equivalence():
-    # with the same weight vector the two subtractive variants coincide
-    r = np.random.default_rng(0)
-    z_i, z_j = r.normal(size=(1, 8)), r.normal(size=(1, 8))
-    w, b = r.normal(size=8), 0.3
-    a = pair_score(z_i, z_j, w, b, "dual-linear")
-    d = pair_score(z_i, z_j, w, b, "diff-linear")
-    np.testing.assert_allclose(a, d, rtol=1e-12)
+    z, _ = small_model.infer(x)
+    w = small_model.params["head.score.w"].data[:, 0].astype(np.float64)
+    b = float(small_model.params["head.score.b"].data[0])
+    s = small_model.score_reference(z[:1], z[1:])
+    assert s.shape == (1,)
+    assert 1.0 < float(s[0]) < 5.0
+    logit = (z[0] - z[1]).astype(np.float64) @ w + b
+    np.testing.assert_allclose(s[0], 1.0 + 4.0 / (1.0 + np.exp(-logit)),
+                               rtol=1e-5)
     # identical latents land on the sigmoid midpoint of the bias
-    mid = pair_score(z_i, z_i, w, 0.0, "dual-linear")
-    assert np.isclose(mid[0], 3.0)
+    mid = small_model.score_reference(z, z)
+    np.testing.assert_allclose(mid, 1.0 + 4.0 / (1.0 + np.exp(-b)),
+                               rtol=1e-6)
 
 
 def test_head_forward_shapes(small_model):
@@ -188,6 +184,82 @@ def test_checkpoint_error_cases(tmp_path, small_model):
     no_config.write_bytes(blob[:8] + struct.pack("<I", len(meta)) + meta)
     with pytest.raises(CheckpointError):
         load_checkpoint(no_config)
+
+
+def test_checkpoint_with_pair_head_loads(tmp_path, small_model, monkeypatch):
+    """Checkpoints written while the model had the pair-score head carry
+    head.score_pair.{w,b} after head.score.b; they load, the extra tensors
+    are dropped, and inference is unchanged."""
+    arrays = {}
+    for name, a in small_model.state_arrays().items():
+        arrays[name] = a
+        if name == "head.score.b":
+            arrays["head.score_pair.w"] = np.full((2 * LATENT_DIM, 1), 0.5,
+                                                  dtype=np.float32)
+            arrays["head.score_pair.b"] = np.ones(1, dtype=np.float32)
+    path = tmp_path / "pair.ckpt"
+    with monkeypatch.context() as m:
+        m.setattr(small_model, "state_arrays", lambda: arrays)
+        save_checkpoint(small_model, path)
+    back = load_checkpoint(path)
+    assert "head.score_pair.w" not in back.state_arrays()
+    x = np.stack([speechlike(seed=s, seconds=1.0).samples for s in (8, 9)])
+    for got, want in zip(back.infer(x), small_model.infer(x)):
+        np.testing.assert_array_equal(got, want)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["float32", "<f4", "int8", "zz", "c8", "f8,i4", "O"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10)
+_DROP = object()
+_META_TARGETS = st.one_of(
+    st.sampled_from([(), ("config",), ("tensors",), ("normalizer",)]),
+    st.tuples(st.just("config"),
+              st.sampled_from(["channel_mult", "n_kinds", "measure_names",
+                               "seed"])),
+    st.tuples(st.just("tensors"), st.integers(0, 999)),
+    st.tuples(st.just("tensors"), st.integers(0, 999),
+              st.sampled_from(["name", "shape", "dtype"])),
+    st.tuples(st.just("normalizer"), st.sampled_from(["means", "stds"])))
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory, small_model):
+    path = tmp_path_factory.mktemp("ckpt") / "fuzz.ckpt"
+    save_checkpoint(small_model, path)
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 8)
+    return path, blob[:8], json.loads(blob[12:12 + n]), blob[12 + n:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=_META_TARGETS, value=_JSON | st.just(_DROP))
+def test_load_checkpoint_fuzzed_metadata(fuzz_checkpoint, target, value):
+    """Any JSON in any place of the metadata block gives a Model or
+    CheckpointError, nothing else."""
+    path, head, meta, tensors = fuzz_checkpoint
+    meta = copy.deepcopy(meta)
+    meta["normalizer"] = {"means": {"ssnr": 1.0}, "stds": {"ssnr": 2.0}}
+    node = None
+    for k in target:  # walk to the parent of the target
+        node = meta if node is None else node[key]
+        key = k % len(node) if isinstance(node, list) else k
+    if node is None:
+        meta = meta if value is _DROP else value
+    elif value is _DROP:
+        del node[key]
+    else:
+        node[key] = value
+    blob = json.dumps(meta).encode()
+    path.write_bytes(head + struct.pack("<I", len(blob)) + blob + tensors)
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(model, Model)
 
 
 def test_seed_changes_weights():

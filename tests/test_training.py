@@ -1,10 +1,14 @@
 import contextlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sesqa import ad, objectives
 from sesqa.audio import AudioFormatError, write_wav
+from sesqa.degrade import KIND_NAMES, read_quadruple_manifest
+from sesqa.manifest import ManifestError
 from sesqa.model import Model, ModelConfig
 from sesqa.training import (FRAME_SAMPLES, QHState, SwaState, TrainConfig,
                             _batch_losses, assemble_batch, augment,
@@ -75,8 +79,7 @@ def test_qh_error_cases():
 
 
 def test_lr_schedule():
-    cfg = TrainConfig(base_lr=1e-3, decay_points=(0.7, 0.9),
-                      decay_factor=0.2)
+    cfg = TrainConfig(base_lr=1e-3)
     total = 100
     assert lr_at(0, total, cfg) == 1e-3
     assert lr_at(69, total, cfg) == 1e-3
@@ -88,13 +91,6 @@ def test_lr_schedule():
         lr_at(100, total, cfg)
     with pytest.raises(ValueError):
         lr_at(-1, total, cfg)
-
-
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(ratios=(0.5, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        TrainConfig(decay_points=(0.9, 0.7))
 
 
 def test_swa_average():
@@ -165,9 +161,8 @@ def test_float32_contract(monkeypatch):
     monkeypatch.setattr(Model, "encode", recording_encode)
     batch = assemble_batch(quads, np.arange(4), np.random.default_rng(0),
                            mos_items=mos_items, jnd_items=jnd_items)
-    lcfg = TrainConfig().loss_config()
-    total, _ = objectives.total_loss(_batch_losses(model, batch, lcfg, ()),
-                                     lcfg)
+    lcfg = objectives.LossConfig()
+    total, _ = objectives.total_loss(_batch_losses(model, batch, lcfg), lcfg)
     total.backward()
     assert [z.dtype for z in encoded] == [np.float32]
     grads = {n: p.grad for n, p in model.params.items() if p.grad is not None}
@@ -236,3 +231,44 @@ def test_manifest_readers(tmp_path):
     jnd.write_text('{"path_a": "a.wav", "path_b": "b.wav", "jnd": 1}\n')
     pairs = read_jnd_manifest(jnd)
     assert pairs[0]["jnd"] == 1.0
+
+
+_FIELDS = ("path", "mos", "listener_scores", "path_a", "path_b", "jnd",
+           "id", "delay_ms", "wav_ik", "wav_il", "wav_jk", "wav_jl",
+           "chain_i", "chain_j", "kind", "strength", "aux", "seed")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(KIND_NAMES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(), inner,
+                      max_size=6),
+    max_leaves=12)
+_RECORDS = st.lists(
+    st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=len(_FIELDS)),
+    max_size=3).map(lambda recs: b"\n".join(json.dumps(r).encode()
+                                            for r in recs))
+_MANIFESTS = st.one_of(
+    st.binary(max_size=200),
+    _RECORDS,
+    st.tuples(_RECORDS, st.binary(max_size=8)).map(b"\n".join))
+
+
+@pytest.fixture(scope="module")
+def manifest_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("manifests") / "m.jsonl"
+
+
+@pytest.mark.parametrize("reader", [read_mos_manifest, read_jnd_manifest,
+                                    read_quadruple_manifest])
+@settings(max_examples=200, deadline=None)
+@given(blob=_MANIFESTS)
+def test_manifest_readers_fuzzed(manifest_path, reader, blob):
+    """Any bytes give a list of records or ManifestError naming the file
+    and the line, nothing else."""
+    manifest_path.write_bytes(blob)
+    try:
+        records = reader(manifest_path)
+    except ManifestError as e:
+        assert str(e).startswith("%s:" % manifest_path)
+        return
+    assert isinstance(records, list)
