@@ -147,6 +147,8 @@ def cmd_train(args, file_config) -> int:
                             default=5, cast=int)
     batch = resolve_option("batch_size", args.batch_size, file_config,
                            default=32, cast=int)
+    if batch < 1:
+        raise UsageError("batch size must be at least 1, got %d" % batch)
     lr = resolve_option("base_lr", args.lr, file_config,
                         default=1e-3, cast=float)
     mult = resolve_option("channels", args.channels, file_config,
@@ -211,13 +213,16 @@ def cmd_eval(args, file_config) -> int:
         manifest = read_mos_manifest(args.mos)
         items = load_mos_items(manifest)
         labels = np.array([mos for _, mos in items])
+        if args.kfold is not None and not 1 <= args.kfold <= len(items):
+            raise UsageError("--kfold must be between 1 and the %d MOS items,"
+                             " got %d" % (len(items), args.kfold))
         if rng is not None:
             preds = rng.uniform(1.0, 5.0, size=len(items))
         else:
             # every item is at least 1 s long; score its first second
             _, preds = model.infer([samples[:FRAME_SAMPLES]
                                     for samples, _ in items])
-        if args.kfold:
+        if args.kfold is not None:
             split = evaluation.kfold_split(len(items), args.kfold,
                                            seed=args.seed or 0)
             folds = [evaluation.eval_mos(preds[f], labels[f]) for f in split]

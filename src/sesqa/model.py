@@ -27,6 +27,9 @@ PAD_MULTIPLE = 256          # four x4 reductions must divide the input
 MIN_INPUT_SAMPLES = 5 * PAD_MULTIPLE
 LATENT_DIM = 200
 INFER_BATCH = 16            # rows per forward pass in Model.infer
+# score logits are clipped to +-15, so scores stay strictly inside (1,5)
+# in float32 (1.0000012 to 4.9999986) and exp never overflows
+SCORE_LOGIT_CLIP = 15.0
 
 
 class CheckpointError(ValueError):
@@ -212,6 +215,7 @@ class Model:
         z = ad.as_tensor(z)
         logit = nn.linear(z, self.params["head.score.w"],
                           self.params["head.score.b"])
+        logit = ad.clip(logit, -SCORE_LOGIT_CLIP, SCORE_LOGIT_CLIP)
         s = ad.add_const(ad.mul_const(ad.sigmoid(logit), 4.0), 1.0)
         return ad.reshape(s, (-1,))
 
@@ -220,7 +224,8 @@ class Model:
         1 + 4*sigmoid((z - z_ref) @ w + b) on the trained score head."""
         w = self.params["head.score.w"].data[:, 0]
         b = float(self.params["head.score.b"].data[0])
-        logit = z @ w - z_ref @ w + b
+        logit = np.clip(z @ w - z_ref @ w + b,
+                        -SCORE_LOGIT_CLIP, SCORE_LOGIT_CLIP)
         return 1.0 + 4.0 / (1.0 + np.exp(-logit))
 
     def _mlp_head(self, name, x, train):

@@ -18,50 +18,71 @@ BN_MOMENTUM = 0.1
 STATS_EPS = 1e-8
 
 
+def _tap_spans(K, T):
+    """(k, dst, src) per tap whose shift s = k - (K-1)//2 leaves samples in
+    range: column t of tap block k holds sample t + s, so block[:, dst] =
+    row[:, src], and the block's other columns are zero."""
+    spans = []
+    for k in range(K):
+        s = k - (K - 1) // 2
+        lo, n = max(0, -s), T - abs(s)
+        if n > 0:
+            spans.append((k, slice(lo, lo + n), slice(lo + s, lo + s + n)))
+    return spans
+
+
+def _tap_columns(x, K):
+    """Yield each row of x (B,C,T) as its (K*C, T) column matrix, whose
+    block k is the row shifted by k - (K-1)//2 with zero-filled edges: the
+    row itself for K=1, else one buffer rewritten for every row."""
+    _, C, T = x.shape
+    if K == 1:
+        yield from x
+        return
+    cols = np.zeros((K * C, T), dtype=x.dtype)   # the edges stay zero
+    spans = _tap_spans(K, T)
+    for xi in x:
+        for k, dst, src in spans:
+            cols[k * C:(k + 1) * C, dst] = xi[:, src]
+        yield cols
+
+
 def conv1d(x, w, b):
     """Cross-correlation with 'same' zero padding, stride 1.
 
-    x: (B,C,T), w: (F,C,K), b: (F,). Output (B,F,T). The padded batch is
-    one (C, B*(T+K-1)) matrix and each tap one GEMM over a shifted column
-    view: K BLAS calls per batch, not B*K, and no patch matrix.
+    x: (B,C,T), w: (F,C,K), b: (F,). Output (B,F,T). w is laid out once
+    as a tap-major (F, K*C) matrix W2, and each batch row is one GEMM of
+    W2 against that row's (K*C, T) column matrix of shifted copies (the
+    row itself for K=1). The backward pass rebuilds each row's columns:
+    dW2 += g_i @ cols_i^T, and W2^T @ g_i is overlap-added into dx in K
+    slices. Neither pass holds a padded or im2col copy of the batch.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     B, C, T = x.data.shape
     F, Cw, K = w.data.shape
     if Cw != C:
         raise ValueError("conv1d channel mismatch: input %d, weight %d" % (C, Cw))
-    pl = (K - 1) // 2
-    pr = K - 1 - pl
-    Tp = T + K - 1
-    n = B * Tp - (K - 1)        # columns whose K taps stay in range
-    xf = np.pad(x.data.transpose(1, 0, 2),
-                ((0, 0), (0, 0), (pl, pr))).reshape(C, B * Tp)
+    W2 = w.data.transpose(0, 2, 1).reshape(F, K * C)
+    bias = b.data[:, None]
     y = np.empty((B, F, T), dtype=x.data.dtype)
-    y[:] = b.data[:, None]
-    yt = y.transpose(1, 0, 2)
-    tmp = np.empty((F, B * Tp), dtype=x.data.dtype)
-    for k in range(K):
-        # column b*Tp + t of tmp is output (b, t); the rest go unread
-        np.matmul(w.data[:, :, k], xf[:, k:k + n], out=tmp[:, :n])
-        yt += tmp.reshape(F, B, Tp)[:, :, :T]
+    for yi, cols in zip(y, _tap_columns(x.data, K)):
+        np.matmul(W2, cols, out=yi)
+        yi += bias
 
     def backward(g):
-        if b.requires_grad:
-            _accum(b, g.sum(axis=(0, 2)))
-        if w.requires_grad:
-            xp2 = np.pad(x.data, ((0, 0), (0, 0), (pl, pr)))
-            dw = np.empty((F, C, K), dtype=w.data.dtype)
-            for k in range(K):
-                dw[:, :, k] = np.matmul(
-                    g, xp2[:, :, k:k + T].transpose(0, 2, 1)).sum(axis=0)
-            _accum(w, dw)
-        if x.requires_grad:
-            dxp = np.zeros((B, C, T + K - 1), dtype=x.data.dtype)
-            tmp2 = np.empty((B, C, T), dtype=x.data.dtype)
-            for k in range(K):
-                np.matmul(w.data[:, :, k].T, g, out=tmp2)
-                dxp[:, :, k:k + T] += tmp2
-            _accum(x, dxp[:, :, pl:pl + T])
+        _accum(b, g.sum(axis=(0, 2)))
+        dW2 = np.zeros((F, K * C), dtype=w.data.dtype)
+        dx = np.zeros((B, C, T), dtype=x.data.dtype)
+        dcols = np.empty((K * C, T), dtype=g.dtype)
+        spans = _tap_spans(K, T)
+        for i, cols in enumerate(_tap_columns(x.data, K)):
+            dW2 += g[i] @ cols.T
+            np.matmul(W2.T, g[i], out=dcols)
+            for k, dst, src in spans:
+                dx[i, :, src] += dcols[k * C:(k + 1) * C, dst]
+        _accum(w, np.ascontiguousarray(
+            dW2.reshape(F, K, C).transpose(0, 2, 1)))
+        _accum(x, dx)
 
     return _make(y, (x, w, b), backward)
 

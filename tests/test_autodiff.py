@@ -4,6 +4,8 @@ Everything runs in float64; the checker nudges values off kinks (relu/abs
 at zero) before comparing. Tolerance is 1e-5 relative error.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,24 +149,72 @@ def test_grad_conv1d():
     w4 = t64(rng, 2, 3, 4, scale=0.5)
     b4 = t64(rng, 2)
     check(lambda: ad.mean(nn.conv1d(x, w4, b4)), [x, w4, b4])
+    # one input channel (enc.pool0) and the 1-tap residual convs
+    x1 = t64(rng, 2, 1, 9)
+    w14 = t64(rng, 3, 1, 4, scale=0.5)
+    b14 = t64(rng, 3)
+    check(lambda: ad.mean(nn.conv1d(x1, w14, b14)), [x1, w14, b14])
+    w1 = t64(rng, 4, 3, 1, scale=0.5)
+    check(lambda: ad.mean(nn.conv1d(x, w1, b)), [x, w1, b])
+
+
+def _conv1d_direct(x, w, b, g):
+    """The direct sum y[b,f,t] = b[f] + sum_ck w[f,c,k] x[b,c,t+k-pl] and
+    its adjoint for the output gradient g: (y, dx, dw, db)."""
+    K, T = w.shape[2], x.shape[2]
+    pl = (K - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pl, K - 1 - pl)))
+    y = b[None, :, None] + np.stack(
+        [np.einsum("fck,bck->bf", w, xp[:, :, t:t + K]) for t in range(T)],
+        axis=2)
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for t in range(T):
+        dxp[:, :, t:t + K] += np.einsum("bf,fck->bck", g[:, :, t], w)
+        dw += np.einsum("bf,bck->fck", g[:, :, t], xp[:, :, t:t + K])
+    return y, dxp[:, :, pl:pl + T], dw, g.sum(axis=(0, 2))
 
 
 def test_conv1d_matches_direct_sum():
-    # the forward pass folds the batch into one matrix; no output column
-    # may pick up samples from a neighbouring row
+    # each row is one GEMM over stacked, zero-filled tap shifts; T=7 with
+    # K=4 leaves both edges of every shifted block out of range
     rng = np.random.default_rng(16)
-    x = rng.normal(size=(3, 2, 7))
-    for K in (1, 3, 4):
-        w = rng.normal(size=(5, 2, K))
-        b = rng.normal(size=5)
-        pl = (K - 1) // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pl, K - 1 - pl)))
-        want = b[None, :, None] + np.stack(
-            [np.einsum("fck,bck->bf", w, xp[:, :, t:t + K]) for t in range(7)],
-            axis=2)
-        got = nn.conv1d(x, w, b).data
-        assert got.shape == (3, 5, 7) and got.flags.c_contiguous
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for C in (2, 1):
+        x = rng.normal(size=(3, C, 7))
+        for K in (1, 3, 4):
+            w = rng.normal(size=(5, C, K))
+            b = rng.normal(size=5)
+            g = rng.normal(size=(3, 5, 7))
+            want, dx, dw, db = _conv1d_direct(x, w, b, g)
+            xt, wt, bt = (ad.Tensor(a.copy(), requires_grad=True)
+                          for a in (x, w, b))
+            y = nn.conv1d(xt, wt, bt)
+            assert y.data.shape == (3, 5, 7) and y.data.flags.c_contiguous
+            np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-12)
+            ad.tensor_sum(y * ad.Tensor(g)).backward()
+            np.testing.assert_allclose(xt.grad, dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(wt.grad, dw, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bt.grad, db, rtol=0, atol=1e-12)
+
+
+def test_conv1d_keeps_no_batch_copy():
+    # the graph may keep x, w, b and the (F, K*C) weight matrix, but no
+    # padded or column copy of the batch: columns are rebuilt in backward
+    rng = np.random.default_rng(17)
+    x = ad.Tensor(rng.normal(size=(8, 1, 48000)).astype(np.float32),
+                  requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(8, 1, 4)).astype(np.float32),
+                  requires_grad=True)
+    b = ad.Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = nn.conv1d(x, w, b)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert retained - y.data.nbytes < 64 * 1024
 
 
 def test_grad_blurpool():

@@ -148,6 +148,26 @@ def test_train_bad_loss_mask(workdir, tmp_path):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("batch", ["0", "-1"])
+def test_train_batch_size_below_one(workdir, tmp_path, batch, capsys):
+    out = tmp_path / "x.ckpt"
+    rc = main(["train", "--quadruples", str(workdir["manifest"]),
+               "--out", str(out), "--epochs", "1", "--batch-size", batch,
+               "--channels", "0.25", "--loss-mask", "mos"])
+    assert rc == EXIT_USAGE
+    assert "batch size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["5", "-1", "0"])
+def test_eval_kfold_out_of_range(workdir, k, capsys):
+    # the manifest holds 4 MOS items
+    rc = main(["eval", "--random-baseline", "--mos",
+               str(workdir["mos_manifest"]), "--kfold", k])
+    assert rc == EXIT_USAGE
+    assert "--kfold" in capsys.readouterr().err
+
+
 def test_eval_random_baseline(workdir, tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["eval", "--random-baseline", "--quadruples",

@@ -1,6 +1,7 @@
 import copy
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ def test_score_reference(small_model):
     mid = small_model.score_reference(z, z)
     np.testing.assert_allclose(mid, 1.0 + 4.0 / (1.0 + np.exp(-b)),
                                rtol=1e-6)
+
+
+def test_scores_strictly_inside_range(small_model):
+    # latents far out on either side of the score head saturate the
+    # sigmoid; the clipped logit keeps 1 and 5 out of reach
+    w = small_model.params["head.score.w"].data[:, 0]
+    z = np.stack([300.0 * w, -300.0 * w]).astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s = small_model.score(z).data
+        s_ref = small_model.score_reference(z, z[::-1])
+    for scores in (s, s_ref):
+        assert scores.dtype == np.float32
+        assert np.all((scores > 1.0) & (scores < 5.0)), scores
+        assert scores[0] > 4.999 and scores[1] < 1.001
 
 
 def test_head_forward_shapes(small_model):
