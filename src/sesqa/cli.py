@@ -25,7 +25,7 @@ from .degrade.quadruples import iter_quadruples, load_quadruple
 from .manifest import ManifestError
 from .measures import MEASURE_NAMES, compute_measure_vector
 from .model import CheckpointError, Model, ModelConfig, load_checkpoint
-from .objectives import LOSS_NAMES
+from .objectives import check_loss_mask
 from .training import (FRAME_SAMPLES, TrainConfig, load_jnd_items,
                        load_mos_items, read_jnd_manifest, read_mos_manifest,
                        train)
@@ -72,14 +72,9 @@ def resolve_option(name, flag_value, file_config, default=None, cast=str):
 
 
 def _parse_loss_mask(text):
-    names = tuple(t.strip() for t in str(text).split(",") if t.strip())
-    bad = set(names) - set(LOSS_NAMES)
-    if bad:
-        raise UsageError("unknown losses: %s (known: %s)"
-                         % (", ".join(sorted(bad)), ", ".join(LOSS_NAMES)))
-    if not names:
-        raise UsageError("empty loss mask")
-    return names
+    """Comma-separated loss names -> a checked mask tuple (ValueError)."""
+    return check_loss_mask(t.strip() for t in str(text).split(",")
+                           if t.strip())
 
 
 # ----------------------------------------------------------- subcommands
@@ -142,19 +137,21 @@ def _load_quads(manifest_path):
 
 
 def cmd_train(args, file_config) -> int:
-    seed = resolve_option("seed", args.seed, file_config, default=0, cast=int)
+    defaults = TrainConfig()
+    seed = resolve_option("seed", args.seed, file_config,
+                          default=defaults.seed, cast=int)
     epochs = resolve_option("epochs", args.epochs, file_config,
-                            default=5, cast=int)
+                            default=defaults.epochs, cast=int)
     batch = resolve_option("batch_size", args.batch_size, file_config,
-                           default=32, cast=int)
+                           default=defaults.batch_size, cast=int)
     if batch < 1:
         raise UsageError("batch size must be at least 1, got %d" % batch)
     lr = resolve_option("base_lr", args.lr, file_config,
-                        default=1e-3, cast=float)
+                        default=defaults.base_lr, cast=float)
     mult = resolve_option("channels", args.channels, file_config,
-                          default=1.0, cast=float)
+                          default=ModelConfig().channel_mult, cast=float)
     mask = resolve_option("loss_mask", args.loss_mask, file_config,
-                          default=",".join(LOSS_NAMES),
+                          default=",".join(defaults.loss_mask),
                           cast=_parse_loss_mask)
 
     quads = _load_quads(args.quadruples)

@@ -10,9 +10,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
+from . import ad
+from .ad import Tensor
 from .degrade.chains import sample_spec
 from .degrade.kernels import apply_degradation
-from .objectives import DEFAULT_BETA
+from .objectives import DEFAULT_BETA, consistency_terms, loss_cons
 
 SWEEP_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)   # DS1..DS5
 
@@ -45,33 +47,32 @@ def eval_rank(s_i, s_j) -> float:
     return float(np.mean(s_i <= s_j))
 
 
+def _f64(scores) -> Tensor:
+    return Tensor(np.asarray(scores, dtype=np.float64))
+
+
 def consistency_values(s_ik, s_il, s_jk, s_jl, beta=DEFAULT_BETA):
-    """Per-quadruple consistency (normalized separation term)."""
-    s_ik, s_il, s_jk, s_jl = (np.asarray(a, dtype=np.float64)
-                              for a in (s_ik, s_il, s_jk, s_jl))
-    same = np.abs(s_ik - s_il)
-    agree = np.abs(np.abs(s_ik - s_jk) - np.abs(s_il - s_jl))
-    sep = (beta - np.minimum(np.abs(s_ik - s_jk), beta)) / (2.0 * beta)
-    return 0.25 * (same + agree) + sep
+    """Per-quadruple consistency: the training loss's per-quadruple terms
+    (objectives.consistency_terms) in float64."""
+    with ad.no_grad():
+        return consistency_terms(_f64(s_ik), _f64(s_il), _f64(s_jk),
+                                 _f64(s_jl), beta).data
 
 
 def eval_cons(quad_scores, pair_scores=None, beta=DEFAULT_BETA) -> float:
     """Mean consistency over quadruples plus optional distinguishable
-    pairs (each contributing only the separation term).
+    pairs (each contributing only the separation term): the consistency
+    loss (objectives.loss_cons) in float64.
 
     `quad_scores` is a 4-tuple/array of aligned score arrays in
     (ik, il, jk, jl) order; `pair_scores` an optional (a, b) tuple.
     """
-    s_ik, s_il, s_jk, s_jl = quad_scores
-    vals = list(consistency_values(s_ik, s_il, s_jk, s_jl, beta=beta))
-    if pair_scores is not None:
-        a = np.asarray(pair_scores[0], dtype=np.float64)
-        b = np.asarray(pair_scores[1], dtype=np.float64)
-        sep = (beta - np.minimum(np.abs(a - b), beta)) / (2.0 * beta)
-        vals.extend(sep)
-    if not vals:
+    quads = [_f64(s) for s in quad_scores]
+    pairs = None if pair_scores is None else [_f64(s) for s in pair_scores]
+    if not quads[0].data.size and (pairs is None or not pairs[0].data.size):
         raise ValueError("empty evaluation set")
-    return float(np.mean(vals))
+    with ad.no_grad():
+        return float(loss_cons(*quads, beta=beta, extra_pairs=pairs).data)
 
 
 def e_total(l_mos: float, r_rank: float, l_cons: float) -> float:

@@ -221,12 +221,9 @@ class Model:
 
     def score_reference(self, z, z_ref) -> np.ndarray:
         """Score in (1,5) of latents `z` relative to reference latents:
-        1 + 4*sigmoid((z - z_ref) @ w + b) on the trained score head."""
-        w = self.params["head.score.w"].data[:, 0]
-        b = float(self.params["head.score.b"].data[0])
-        logit = np.clip(z @ w - z_ref @ w + b,
-                        -SCORE_LOGIT_CLIP, SCORE_LOGIT_CLIP)
-        return 1.0 + 4.0 / (1.0 + np.exp(-logit))
+        score(z - z_ref), i.e. 1 + 4*sigmoid((z - z_ref) @ w + b)."""
+        with ad.no_grad():
+            return self.score(np.asarray(z) - np.asarray(z_ref)).data
 
     def _mlp_head(self, name, x, train):
         p = self.params

@@ -14,7 +14,6 @@ from .ad import Tensor, _accum, _make, as_tensor
 # Fixed binomial low-pass used before every factor-4 subsampling.
 BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 STATS_EPS = 1e-8
 
 
@@ -162,8 +161,10 @@ class BatchNorm:
     """Batch normalization over all axes except channel.
 
     Works on (B,F) with channel axis 1, and on (B,C,T) with channel axis 1.
-    Train mode uses batch statistics and updates running stats with
-    momentum 0.1; eval mode uses running stats.
+    Train mode normalizes with the batch statistics and stores them as
+    the running stats; eval mode normalizes with the running stats.
+    Training ends with one recalibration pass (training.recalibrate_bn),
+    so the stats eval mode reads are those of that pass.
     """
 
     def __init__(self, num_features, dtype=np.float32):
@@ -171,14 +172,9 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
-        self.momentum = BN_MOMENTUM  # set to 1.0 for recalibration passes
 
     def __call__(self, x, train: bool):
-        return batchnorm(x, self.gamma, self.beta, self, train,
-                         momentum=self.momentum)
-
-    def parameters(self):
-        return {"gamma": self.gamma, "beta": self.beta}
+        return batchnorm(x, self.gamma, self.beta, self, train)
 
 
 def _channel_moments(x: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +190,7 @@ def _channel_moments(x: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
     return mu.astype(x.dtype), var.astype(x.dtype)
 
 
-def batchnorm(x, gamma, beta, state: BatchNorm, train: bool,
-              momentum=BN_MOMENTUM, eps=BN_EPS):
+def batchnorm(x, gamma, beta, state: BatchNorm, train: bool, eps=BN_EPS):
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     nd = x.data.ndim
     if nd == 2:
@@ -210,10 +205,8 @@ def batchnorm(x, gamma, beta, state: BatchNorm, train: bool,
         if n < 2:
             raise ValueError("batch statistics need more than one element")
         mu, var = _channel_moments(x.data, axes)
-        state.running_mean[...] = ((1 - momentum) * state.running_mean
-                                   + momentum * mu.astype(state.running_mean.dtype))
-        state.running_var[...] = ((1 - momentum) * state.running_var
-                                  + momentum * var.astype(state.running_var.dtype))
+        state.running_mean[...] = mu
+        state.running_var[...] = var
     else:
         mu = state.running_mean.astype(x.data.dtype)
         var = state.running_var.astype(x.data.dtype)

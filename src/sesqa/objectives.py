@@ -8,7 +8,6 @@ applied anywhere; ablations work by masking losses out entirely.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,28 +20,17 @@ DEFAULT_ALPHA = 0.3   # ranking margin
 DEFAULT_BETA = 0.1    # consistency separation margin
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    loss_mask: tuple = LOSS_NAMES
-
-    def __post_init__(self):
-        unknown = set(self.loss_mask) - set(LOSS_NAMES)
-        if unknown:
-            raise ValueError("unknown losses in mask: %s" % sorted(unknown))
-
-    def enabled(self, name: str) -> bool:
-        return name in self.loss_mask
-
-
-@dataclass
-class LossReport:
-    values: dict = field(default_factory=dict)
-    total: float = 0.0
-
-    def to_dict(self) -> dict:
-        d = {k: float(v) for k, v in self.values.items()}
-        d["total"] = float(self.total)
-        return d
+def check_loss_mask(mask) -> tuple:
+    """`mask` as a tuple of loss names; ValueError when it is empty or
+    names a loss outside LOSS_NAMES."""
+    mask = tuple(mask)
+    unknown = set(mask) - set(LOSS_NAMES)
+    if unknown:
+        raise ValueError("unknown losses: %s (known: %s)"
+                         % (", ".join(sorted(unknown)), ", ".join(LOSS_NAMES)))
+    if not mask:
+        raise ValueError("empty loss mask: all losses are disabled")
+    return mask
 
 
 def loss_mos(s: Tensor, targets) -> Tensor:
@@ -78,22 +66,25 @@ def _separation_term(a: Tensor, b: Tensor, beta: float) -> Tensor:
                         1.0 / (2.0 * beta))
 
 
-def loss_cons(s_ik: Tensor, s_il: Tensor, s_jk: Tensor, s_jl: Tensor,
-              beta=DEFAULT_BETA, extra_pairs=None) -> Tensor:
-    """Consistency over quadruple scores (plus optional extra
-    distinguishable pairs, e.g. noticeable JND pairs).
-
-    Per quadruple: 1/4 (|s_ik - s_il| + ||s_ik - s_jk| - |s_il - s_jl||)
-    plus the separation term on (s_ik, s_jk). Extra pairs contribute the
-    separation term only.
-    """
+def consistency_terms(s_ik: Tensor, s_il: Tensor, s_jk: Tensor,
+                      s_jl: Tensor, beta=DEFAULT_BETA) -> Tensor:
+    """Per quadruple: 1/4 (|s_ik - s_il| + ||s_ik - s_jk| - |s_il - s_jl||)
+    plus the separation term on (s_ik, s_jk)."""
     same = ad.absolute(s_ik - s_il)
     diff_k = ad.absolute(s_ik - s_jk)
     diff_l = ad.absolute(s_il - s_jl)
     agree = ad.absolute(diff_k - diff_l)
-    per_quad = (ad.mul_const(same + agree, 0.25)
-                + _separation_term(s_ik, s_jk, beta))
-    pieces = [ad.reshape(per_quad, (-1,))]
+    return (ad.mul_const(same + agree, 0.25)
+            + _separation_term(s_ik, s_jk, beta))
+
+
+def loss_cons(s_ik: Tensor, s_il: Tensor, s_jk: Tensor, s_jl: Tensor,
+              beta=DEFAULT_BETA, extra_pairs=None) -> Tensor:
+    """Mean consistency over quadruple scores (consistency_terms), plus
+    optional extra distinguishable pairs (e.g. noticeable JND pairs) that
+    contribute the separation term only."""
+    pieces = [ad.reshape(consistency_terms(s_ik, s_il, s_jk, s_jl, beta),
+                         (-1,))]
     if extra_pairs is not None:
         a, b = extra_pairs
         pieces.append(ad.reshape(_separation_term(a, b, beta), (-1,)))
@@ -151,30 +142,27 @@ def loss_mr(p: Tensor, targets, mask=None) -> Tensor:
     return ad.mean(ad.tensor_sum(per, axis=1))
 
 
-def total_loss(components: dict, config: LossConfig) -> tuple:
+def total_loss(components: dict, loss_mask: tuple) -> tuple:
     """Unweighted sum of the enabled, available loss components.
 
     `components` maps loss name -> scalar Tensor (or None when the batch
-    carried no data for it; such losses contribute 0 for the step).
-    Returns (total Tensor, LossReport).
+    carried no data for it; such losses contribute 0 for the step), and
+    `loss_mask` names the enabled losses. Returns (total Tensor,
+    {name: value, ..., "total": value}) over the losses that contributed.
     """
-    if not config.loss_mask:
-        raise ValueError("all losses are disabled")
     unknown = set(components) - set(LOSS_NAMES)
     if unknown:
         raise ValueError("unknown loss components: %s" % sorted(unknown))
-    report = LossReport()
+    values = {}
     total = None
     for name in LOSS_NAMES:
-        if not config.enabled(name):
-            continue
         comp = components.get(name)
-        if comp is None:
+        if name not in loss_mask or comp is None:
             continue
-        report.values[name] = float(comp.data)
+        values[name] = float(comp.data)
         total = comp if total is None else total + comp
     if total is None:
         warnings.warn("no enabled loss had data this step; total is 0")
         total = Tensor(np.zeros(()))
-    report.total = float(total.data)
-    return total, report
+    values["total"] = float(total.data)
+    return total, values

@@ -20,7 +20,6 @@ from .audio import read_wav_48k
 from .manifest import read_jsonl, str_field
 from .measures import fit_normalizer
 from .model import Model, save_checkpoint
-from .objectives import LossConfig
 
 FRAME_SAMPLES = 48000
 
@@ -44,6 +43,10 @@ class TrainConfig:
     batch_size: int = 32          # quadruples per step
     loss_mask: tuple = objectives.LOSS_NAMES
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "loss_mask",
+                           objectives.check_loss_mask(self.loss_mask))
 
 
 # ---------------------------------------------------------- data loading
@@ -119,7 +122,6 @@ class Batch:
     """One assembled training batch (all frames 1 s, float32)."""
 
     quad_frames: np.ndarray          # (B_q, 4, T) in ik, il, jk, jl order
-    quad_ids: list
     dt_targets: np.ndarray           # (B_q, 2, n_dt) for chains i and j
     ds_targets: np.ndarray           # (B_q, 2, n_kinds)
     mr_targets: np.ndarray = None    # (B_q, M) normalized, with mask
@@ -130,13 +132,34 @@ class Batch:
     jnd_targets: np.ndarray = None
 
 
+def _measure_targets(measure_lookup, names, normalizer, n_quads):
+    """(n_quads, len(names)) float32 measure-regression targets, one row
+    per quadruple index, and their 0/1 mask. A measure missing from a
+    vector, or a quadruple without one, is masked out; a present value is
+    normalized when `normalizer` was fitted for its measure."""
+    targets = np.zeros((n_quads, len(names)), dtype=np.float32)
+    mask = np.zeros_like(targets)
+    for row in range(n_quads):
+        vec = measure_lookup.get(row)
+        if vec is None:
+            continue
+        for col, name in enumerate(names):
+            if name in vec.values:
+                v = vec.values[name]
+                if name in normalizer.means:
+                    v = normalizer.apply_value(name, v)
+                targets[row, col], mask[row, col] = v, 1.0
+    return targets, mask
+
+
 def assemble_batch(quads, indices, rng: np.random.Generator,
-                   mos_items=None, jnd_items=None, measure_lookup=None,
-                   measure_names=(), normalizer=None):
+                   mos_items=None, jnd_items=None, measure_targets=None):
     """Build a Batch from quadruples `indices` plus MOS/JND side data.
 
     Item shares follow BATCH_RATIOS (quadruples/MOS/JND); missing sources
-    degrade gracefully to a quadruple-only batch.
+    degrade gracefully to a quadruple-only batch. `measure_targets` is
+    the (targets, mask) pair of _measure_targets; the batch takes the
+    rows of `indices`.
     """
     if len(indices) == 0:
         raise ValueError("empty quadruple selection")
@@ -145,42 +168,21 @@ def assemble_batch(quads, indices, rng: np.random.Generator,
     n_m = int(round(n_q * r_m / r_q)) if mos_items else 0
     n_j = int(round(n_q * r_j / r_q)) if jnd_items else 0
 
+    q0 = quads[indices[0]]
     qf = np.empty((n_q, 4, FRAME_SAMPLES), dtype=np.float32)
-    dt = np.empty((n_q, 2, 0), dtype=np.float32)
-    ds = np.empty((n_q, 2, 0), dtype=np.float32)
-    first = True
-    ids = []
+    dt = np.empty((n_q, 2, len(q0.dt_targets_i)), dtype=np.float32)
+    ds = np.empty((n_q, 2, len(q0.ds_targets_i)), dtype=np.float32)
     for row, idx in enumerate(indices):
         q = quads[idx]
-        ids.append(idx)
-        frames = augment([f.samples for f in q.frames()], rng)
-        for col, f in enumerate(frames):
-            qf[row, col] = f
-        if first:
-            dt = np.empty((n_q, 2, len(q.dt_targets_i)), dtype=np.float32)
-            ds = np.empty((n_q, 2, len(q.ds_targets_i)), dtype=np.float32)
-            first = False
+        qf[row] = augment([f.samples for f in q.frames()], rng)
         dt[row, 0], dt[row, 1] = q.dt_targets_i, q.dt_targets_j
         ds[row, 0], ds[row, 1] = q.ds_targets_i, q.ds_targets_j
-    batch = Batch(quad_frames=qf, quad_ids=ids, dt_targets=dt,
-                  ds_targets=ds)
+    batch = Batch(quad_frames=qf, dt_targets=dt, ds_targets=ds)
 
-    if measure_lookup is not None and measure_names:
-        mr_t = np.zeros((n_q, len(measure_names)), dtype=np.float32)
-        mr_m = np.zeros((n_q, len(measure_names)), dtype=np.float32)
-        for row, idx in enumerate(ids):
-            vec = measure_lookup.get(idx)
-            if vec is None:
-                continue
-            for col, name in enumerate(measure_names):
-                if name in vec.values:
-                    v = vec.values[name]
-                    if normalizer is not None and name in normalizer.means:
-                        v = normalizer.apply_value(name, v)
-                    mr_t[row, col] = v
-                    mr_m[row, col] = 1.0
-        if mr_m.any():
-            batch.mr_targets, batch.mr_mask = mr_t, mr_m
+    if measure_targets is not None:
+        targets, mask = measure_targets
+        if mask[indices].any():
+            batch.mr_targets, batch.mr_mask = targets[indices], mask[indices]
 
     if n_m:
         picks = rng.integers(0, len(mos_items), size=n_m)
@@ -208,16 +210,11 @@ def assemble_batch(quads, indices, rng: np.random.Generator,
 # -------------------------------------------------------------- optimizer
 
 class QHState:
-    """Quasi-hyperbolic adaptive momentum with lookahead slow weights."""
+    """Quasi-hyperbolic adaptive momentum with lookahead slow weights:
+    the step count, both moments and the slow weights. The
+    hyperparameters are the QH_* and LOOKAHEAD_* constants."""
 
-    def __init__(self, params: dict, nu1=QH_NU1, nu2=QH_NU2,
-                 beta1=QH_BETA1, beta2=QH_BETA2, eps=QH_EPS,
-                 lookahead_k=LOOKAHEAD_K, lookahead_alpha=LOOKAHEAD_ALPHA):
-        self.nu1, self.nu2 = nu1, nu2
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.k = lookahead_k
-        self.alpha = lookahead_alpha
+    def __init__(self, params: dict):
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -229,8 +226,8 @@ def qh_step(params: dict, state: QHState, lr: float) -> None:
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - QH_BETA1 ** state.t
+    bc2 = 1.0 - QH_BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -239,19 +236,19 @@ def qh_step(params: dict, state: QHState, lr: float) -> None:
             raise FloatingPointError("non-finite gradient for %s" % name)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= QH_BETA1
+        m += (1.0 - QH_BETA1) * g
+        v *= QH_BETA2
+        v += (1.0 - QH_BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        num = (1.0 - state.nu1) * g + state.nu1 * m_hat
-        den = np.sqrt((1.0 - state.nu2) * g * g + state.nu2 * v_hat)
-        p.data -= (lr * num / (den + state.eps)).astype(p.data.dtype)
-    if state.t % state.k == 0:
+        num = (1.0 - QH_NU1) * g + QH_NU1 * m_hat
+        den = np.sqrt((1.0 - QH_NU2) * g * g + QH_NU2 * v_hat)
+        p.data -= (lr * num / (den + QH_EPS)).astype(p.data.dtype)
+    if state.t % LOOKAHEAD_K == 0:
         for name, p in params.items():
             slow = state.slow[name]
-            slow += state.alpha * (p.data - slow)
+            slow += LOOKAHEAD_ALPHA * (p.data - slow)
             p.data = slow.astype(p.data.dtype).copy()
 
 
@@ -300,106 +297,87 @@ def swa_finalize(state: SwaState, model: Model, sample_frames) -> None:
 def recalibrate_bn(model: Model, sample_frames) -> None:
     """Set every BN's running stats to the batch stats of one sample.
 
-    Train mode supplies the batch statistics; no gradient is needed, so
-    the pass builds no autodiff graph."""
-    old = {name: bn.momentum for name, bn in model.bns.items()}
-    for bn in model.bns.values():
-        bn.momentum = 1.0
-    try:
-        with ad.no_grad():
-            z = model.encode(np.asarray(sample_frames), train=True).data
-            half = z.shape[0] // 2
-            if half >= 1:
-                for head in ("sd", "jnd", "mr"):
-                    model.head_forward(head, z[:half], z[half:2 * half],
-                                       train=True)
-                for head in ("dt", "ds"):
-                    model.head_forward(head, z, train=True)
-    finally:
-        for name, bn in model.bns.items():
-            bn.momentum = old[name]
+    A train-mode pass stores each BN's batch statistics as its running
+    stats; no gradient is needed, so the pass builds no autodiff graph."""
+    with ad.no_grad():
+        z = model.encode(np.asarray(sample_frames), train=True).data
+        half = z.shape[0] // 2
+        if half >= 1:
+            for head in ("sd", "jnd", "mr"):
+                model.head_forward(head, z[:half], z[half:2 * half],
+                                   train=True)
+            for head in ("dt", "ds"):
+                model.head_forward(head, z, train=True)
 
 
 # ------------------------------------------------------------- main loop
 
-def _batch_losses(model: Model, batch: Batch, lcfg: LossConfig) -> dict:
-    """Forward everything once and compute all available loss Tensors."""
+def _rows(x, start, stop, step=1):
+    """Rows start, start + step, ... (below stop) of x, on the graph."""
+    return ad.index_select(x, np.arange(start, stop, step), axis=0)
+
+
+def _batch_losses(model: Model, batch: Batch, loss_mask: tuple) -> dict:
+    """Forward everything once and compute all available loss Tensors.
+
+    BatchNorm needs two rows for batch statistics, so a forward that would
+    give one a single row is left out and its loss has no data this step:
+    jnd with one JND pair, mr with one quadruple, and every loss when the
+    encoder would see one frame.
+    """
     comp = {}
-    n_q = batch.quad_frames.shape[0]
     # quadruple frames only matter when a quadruple-fed loss is enabled
-    quad_losses = ("rank", "cons", "sd", "dt", "ds", "mr")
-    use_quads = any(lcfg.enabled(x) for x in quad_losses)
-    n_q_enc = n_q if use_quads else 0
-    stacks = []
-    if n_q_enc:
-        stacks.append(batch.quad_frames.reshape(-1, FRAME_SAMPLES))
+    quad_losses = {"rank", "cons", "sd", "dt", "ds", "mr"}
+    n_q = batch.quad_frames.shape[0] if quad_losses & set(loss_mask) else 0
     n_m = 0 if batch.mos_frames is None else batch.mos_frames.shape[0]
     n_j = 0 if batch.jnd_frames is None else batch.jnd_frames.shape[0]
-    if n_m:
-        stacks.append(batch.mos_frames)
-    if n_j:
-        stacks.append(batch.jnd_frames.reshape(-1, FRAME_SAMPLES))
-    if not stacks:
+    if 4 * n_q + n_m + 2 * n_j < 2:
         return comp
+    stacks = [f.reshape(-1, FRAME_SAMPLES) for f, n in
+              ((batch.quad_frames, n_q), (batch.mos_frames, n_m),
+               (batch.jnd_frames, n_j)) if n]
     z = model.encode(np.concatenate(stacks, axis=0), train=True)
 
-    # slice the latent block back apart
-    idx = 4 * n_q_enc
-    z_quad = ad.index_select(z, np.arange(idx), axis=0) if n_q_enc else None
-    z_mos = (ad.index_select(z, np.arange(idx, idx + n_m), axis=0)
-             if n_m else None)
-    z_jnd = (ad.index_select(z, np.arange(idx + n_m, idx + n_m + 2 * n_j),
-                             axis=0) if n_j else None)
-
-    # scores on all quadruple cuts
-    if n_q_enc:
+    if n_q:
+        z_quad = _rows(z, 0, 4 * n_q)
+        # scores on all quadruple cuts, in ik, il, jk, jl order
         s = model.score(z_quad)
-        s_ik = ad.index_select(s, np.arange(0, 4 * n_q, 4))
-        s_il = ad.index_select(s, np.arange(1, 4 * n_q, 4))
-        s_jk = ad.index_select(s, np.arange(2, 4 * n_q, 4))
-        s_jl = ad.index_select(s, np.arange(3, 4 * n_q, 4))
-
-    if n_q_enc and lcfg.enabled("rank"):
-        comp["rank"] = ad.mul_const(
-            objectives.loss_rank(s_ik, s_jk)
-            + objectives.loss_rank(s_il, s_jl), 0.5)
-    # same-condition pairs (label 1) and cross pairs (label 0)
-    if n_q_enc and lcfg.enabled("sd"):
-        rows_a = np.concatenate([np.arange(0, 4 * n_q, 4),
-                                 np.arange(2, 4 * n_q, 4),
-                                 np.arange(0, 4 * n_q, 4)])
-        rows_b = np.concatenate([np.arange(1, 4 * n_q, 4),
-                                 np.arange(3, 4 * n_q, 4),
-                                 np.arange(2, 4 * n_q, 4)])
-        labels = np.concatenate([np.ones(2 * n_q), np.zeros(n_q)])
-        p_sd = model.head_forward("sd",
-                                  ad.index_select(z_quad, rows_a, axis=0),
-                                  ad.index_select(z_quad, rows_b, axis=0),
-                                  train=True)
-        comp["sd"] = objectives.loss_sd(ad.reshape(p_sd, (-1,)), labels)
-
-    if n_q_enc and lcfg.enabled("dt"):
-        p_dt = model.head_forward("dt", z_quad, train=True)
+        s_ik, s_il, s_jk, s_jl = (_rows(s, c, 4 * n_q, 4) for c in range(4))
+        if "rank" in loss_mask:
+            comp["rank"] = ad.mul_const(
+                objectives.loss_rank(s_ik, s_jk)
+                + objectives.loss_rank(s_il, s_jl), 0.5)
+        if "sd" in loss_mask:
+            # same-condition pairs (label 1) and cross pairs (label 0)
+            ik = np.arange(0, 4 * n_q, 4)
+            p_sd = model.head_forward(
+                "sd", ad.index_select(z_quad, np.concatenate(
+                    [ik, ik + 2, ik]), axis=0),
+                ad.index_select(z_quad, np.concatenate(
+                    [ik + 1, ik + 3, ik + 2]), axis=0), train=True)
+            labels = np.concatenate([np.ones(2 * n_q), np.zeros(n_q)])
+            comp["sd"] = objectives.loss_sd(ad.reshape(p_sd, (-1,)), labels)
         # cut order ik,il,jk,jl -> chain order i,i,j,j
-        tgt = batch.dt_targets[:, (0, 0, 1, 1), :].reshape(4 * n_q, -1)
-        comp["dt"] = objectives.loss_dt(p_dt, tgt)
-    if n_q_enc and lcfg.enabled("ds"):
-        p_ds = model.head_forward("ds", z_quad, train=True)
-        tgt = batch.ds_targets[:, (0, 0, 1, 1), :].reshape(4 * n_q, -1)
-        comp["ds"] = objectives.loss_ds(p_ds, tgt)
-
-    if n_q_enc and lcfg.enabled("mr") and batch.mr_targets is not None:
-        z_i = ad.index_select(z_quad, np.arange(0, 4 * n_q, 4), axis=0)
-        z_j = ad.index_select(z_quad, np.arange(2, 4 * n_q, 4), axis=0)
-        p_mr = model.head_forward("mr", z_i, z_j, train=True)
-        comp["mr"] = objectives.loss_mr(p_mr, batch.mr_targets,
-                                        mask=batch.mr_mask)
+        if "dt" in loss_mask:
+            p_dt = model.head_forward("dt", z_quad, train=True)
+            tgt = batch.dt_targets[:, (0, 0, 1, 1), :].reshape(4 * n_q, -1)
+            comp["dt"] = objectives.loss_dt(p_dt, tgt)
+        if "ds" in loss_mask:
+            p_ds = model.head_forward("ds", z_quad, train=True)
+            tgt = batch.ds_targets[:, (0, 0, 1, 1), :].reshape(4 * n_q, -1)
+            comp["ds"] = objectives.loss_ds(p_ds, tgt)
+        if "mr" in loss_mask and batch.mr_targets is not None and n_q >= 2:
+            p_mr = model.head_forward("mr", _rows(z_quad, 0, 4 * n_q, 4),
+                                      _rows(z_quad, 2, 4 * n_q, 4),
+                                      train=True)
+            comp["mr"] = objectives.loss_mr(p_mr, batch.mr_targets,
+                                            mask=batch.mr_mask)
 
     if n_m:
-        s_mos = model.score(z_mos)
-        if lcfg.enabled("mos"):
+        s_mos = model.score(_rows(z, 4 * n_q, 4 * n_q + n_m))
+        if "mos" in loss_mask:
             comp["mos"] = objectives.loss_mos(s_mos, batch.mos_targets)
-        if lcfg.enabled("rank") and n_m >= 2:
+        if "rank" in loss_mask and n_m >= 2:
             # pair up MOS items for annotated ranking, larger label first
             order = np.arange(n_m - (n_m % 2))
             a, b = order[0::2], order[1::2]
@@ -417,20 +395,21 @@ def _batch_losses(model: Model, batch: Batch, lcfg: LossConfig) -> dict:
 
     extra_pairs = None
     if n_j:
-        z_a = ad.index_select(z_jnd, np.arange(0, 2 * n_j, 2), axis=0)
-        z_b = ad.index_select(z_jnd, np.arange(1, 2 * n_j, 2), axis=0)
-        if lcfg.enabled("jnd"):
+        z_jnd = _rows(z, 4 * n_q + n_m, 4 * n_q + n_m + 2 * n_j)
+        z_a = _rows(z_jnd, 0, 2 * n_j, 2)
+        z_b = _rows(z_jnd, 1, 2 * n_j, 2)
+        if "jnd" in loss_mask and n_j >= 2:
             p_jnd = model.head_forward("jnd", z_a, z_b, train=True)
             comp["jnd"] = objectives.loss_jnd(ad.reshape(p_jnd, (-1,)),
                                               batch.jnd_targets)
         # noticeable pairs are distinguishable: feed the consistency margin
         noticeable = np.flatnonzero(batch.jnd_targets > 0.5)
-        if len(noticeable) and lcfg.enabled("cons"):
+        if len(noticeable) and "cons" in loss_mask:
             extra_pairs = (
                 model.score(ad.index_select(z_a, noticeable, axis=0)),
                 model.score(ad.index_select(z_b, noticeable, axis=0)))
 
-    if n_q_enc and lcfg.enabled("cons"):
+    if "cons" in loss_mask:  # a quadruple loss: the n_q block ran
         comp["cons"] = objectives.loss_cons(s_ik, s_il, s_jk, s_jl,
                                             extra_pairs=extra_pairs)
     return comp
@@ -450,17 +429,17 @@ def train(model: Model, config: TrainConfig, quads,
     n_q = len(quads)
     if n_q == 0:
         raise ValueError("no quadruples to train on")
-    lcfg = LossConfig(loss_mask=tuple(config.loss_mask))
     measure_names = tuple(model.config.measure_names)
-
-    normalizer = None
+    measure_targets = None
     if measure_lookup and measure_names:
         try:
-            normalizer = fit_normalizer(measure_lookup.values())
+            model.normalizer = fit_normalizer(measure_lookup.values())
         except ValueError as e:
             warnings.warn("measure normalization disabled: %s" % e)
-            measure_lookup = None
-        model.normalizer = normalizer
+            model.normalizer = None
+        else:
+            measure_targets = _measure_targets(
+                measure_lookup, measure_names, model.normalizer, n_q)
 
     rng = np.random.default_rng(config.seed)
     steps_per_epoch = math.ceil(n_q / config.batch_size)
@@ -479,11 +458,10 @@ def train(model: Model, config: TrainConfig, quads,
                 indices = perm[b0:b0 + config.batch_size]
                 batch = assemble_batch(
                     quads, indices, rng, mos_items=mos_items,
-                    jnd_items=jnd_items, measure_lookup=measure_lookup,
-                    measure_names=measure_names, normalizer=normalizer)
-                comp = _batch_losses(model, batch, lcfg)
-                total, report = objectives.total_loss(comp, lcfg)
-                if not np.isfinite(report.total):
+                    jnd_items=jnd_items, measure_targets=measure_targets)
+                comp = _batch_losses(model, batch, config.loss_mask)
+                total, losses = objectives.total_loss(comp, config.loss_mask)
+                if not np.isfinite(losses["total"]):
                     raise FloatingPointError(
                         "non-finite total loss at step %d" % step)
                 for p in model.params.values():
@@ -493,9 +471,8 @@ def train(model: Model, config: TrainConfig, quads,
                 qh_step(model.params, opt, lr)
                 if epoch == config.epochs - 1:
                     swa.absorb(model.params)
-                fired.update(report.values)
-                rec = {"step": step, "epoch": epoch, "lr": lr}
-                rec.update(report.to_dict())
+                fired.update(comp)
+                rec = {"step": step, "epoch": epoch, "lr": lr, **losses}
                 log.append(rec)
                 if log_file:
                     log_file.write(json.dumps(rec) + "\n")
@@ -503,7 +480,7 @@ def train(model: Model, config: TrainConfig, quads,
                     progress(rec)
                 last_batch = batch
                 step += 1
-            silent = [n for n in lcfg.loss_mask if n not in fired]
+            silent = [n for n in config.loss_mask if n not in fired]
             if silent:
                 warnings.warn("enabled losses with no data in epoch %d: %s"
                               % (epoch, ", ".join(silent)))

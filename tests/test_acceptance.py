@@ -184,7 +184,7 @@ def test_criterion_04_loss_identities():
     assert np.isclose(objectives.loss_dt(T(np.full(31, 0.5)),
                                          np.zeros(31)).data, 31 * ln2)
     total, _ = objectives.total_loss(
-        {"mos": T(0.3), "rank": T(0.2)}, objectives.LossConfig())
+        {"mos": T(0.3), "rank": T(0.2)}, objectives.LOSS_NAMES)
     assert np.isclose(total.data, 0.5)
 
 

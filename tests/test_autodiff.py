@@ -256,6 +256,20 @@ def test_grad_batchnorm(train):
     check(fn, [x, gamma, beta])
 
 
+def test_batchnorm_train_stores_batch_stats():
+    """Train mode stores its batch statistics as the running stats, so an
+    eval-mode pass over the same batch gives the same output."""
+    x = np.random.default_rng(11).normal(2.0, 3.0, size=(5, 3, 7))
+    state = nn.BatchNorm(3, dtype=np.float64)
+    y_train = nn.batchnorm(x, state.gamma, state.beta, state, True).data
+    np.testing.assert_allclose(state.running_mean, x.mean(axis=(0, 2)),
+                               rtol=1e-12)
+    np.testing.assert_allclose(state.running_var, x.var(axis=(0, 2)),
+                               rtol=1e-10)
+    y_eval = nn.batchnorm(x, state.gamma, state.beta, state, False).data
+    np.testing.assert_allclose(y_eval, y_train, rtol=1e-10, atol=1e-12)
+
+
 # ---------------------------------------- full architecture composition
 
 def _mini_encoder_params(rng, n_res=6):

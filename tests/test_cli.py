@@ -159,6 +159,33 @@ def test_train_batch_size_below_one(workdir, tmp_path, batch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--jnd", "JND"],                       # one JND pair in a batch
+    ["--compute-measures"],                 # one quadruple in a batch
+    ["--mos", "MOS", "--loss-mask", "mos"]  # one MOS frame to encode
+], ids=["jnd", "measures", "mos"])
+def test_train_one_row_batches(workdir, tmp_path, flags):
+    """Batch size 2 over 3 quadruples puts a single row into one
+    BatchNorm; training skips that forward's loss and still succeeds."""
+    manifest = tmp_path / "three.jsonl"
+    lines = workdir["manifest"].read_text().splitlines()
+    manifest.write_text("\n".join(lines[:3]) + "\n")
+    mos = [json.loads(l) for l in workdir["mos_manifest"].read_text()
+           .splitlines()]
+    jnd = tmp_path / "jnd.jsonl"
+    jnd.write_text(json.dumps({"path_a": mos[0]["path"],
+                               "path_b": mos[1]["path"], "jnd": 1}) + "\n")
+    flags = [{"JND": str(jnd), "MOS": str(workdir["mos_manifest"])}.get(f, f)
+             for f in flags]
+    out = tmp_path / "x.ckpt"
+    with pytest.warns(UserWarning, match="no data"):
+        rc = main(["train", "--quadruples", str(manifest), "--out", str(out),
+                   "--epochs", "1", "--batch-size", "2", "--channels",
+                   "0.125", "--seed", "1"] + flags)
+    assert rc == EXIT_OK
+    assert load_checkpoint(out).config.channel_mult == 0.125
+
+
 @pytest.mark.parametrize("k", ["5", "-1", "0"])
 def test_eval_kfold_out_of_range(workdir, k, capsys):
     # the manifest holds 4 MOS items

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sesqa import ad, objectives
-from sesqa.objectives import (LossConfig, loss_cons, loss_ds, loss_dt,
-                              loss_jnd, loss_mos, loss_mr, loss_rank,
-                              loss_sd, total_loss)
+from sesqa.objectives import (LOSS_NAMES, check_loss_mask, loss_cons,
+                              loss_ds, loss_dt, loss_jnd, loss_mos, loss_mr,
+                              loss_rank, loss_sd, total_loss)
 
 LN2 = float(np.log(2.0))
 
@@ -135,29 +135,31 @@ def test_mr_identities_and_mask():
 # ------------------------------------------------------------ aggregation
 
 def test_total_loss_sums_enabled():
-    cfg = LossConfig()
     comp = {"mos": T(0.3), "rank": T(0.2)}
-    total, report = total_loss(comp, cfg)
+    total, values = total_loss(comp, LOSS_NAMES)
     assert np.isclose(total.data, 0.5)
-    assert report.values == {"mos": 0.3, "rank": 0.2}
+    assert values == {"mos": 0.3, "rank": 0.2, "total": float(total.data)}
 
 
 def test_total_loss_singleton_mask():
-    cfg = LossConfig(loss_mask=("mos",))
     comp = {"mos": T(0.42), "rank": T(9.0)}
-    total, _ = total_loss(comp, cfg)
+    total, values = total_loss(comp, ("mos",))
     assert np.isclose(total.data, 0.42)
+    assert set(values) == {"mos", "total"}
 
 
 def test_total_loss_missing_component_warns():
-    cfg = LossConfig(loss_mask=("jnd",))
     with pytest.warns(UserWarning):
-        total, _ = total_loss({}, cfg)
+        total, values = total_loss({}, ("jnd",))
     assert total.data == 0.0
+    assert values == {"total": 0.0}
 
 
 def test_loss_config_validation():
+    assert check_loss_mask(["mos", "jnd"]) == ("mos", "jnd")
+    with pytest.raises(ValueError, match="unknown losses: nope"):
+        check_loss_mask(("mos", "nope"))
+    with pytest.raises(ValueError, match="empty loss mask"):
+        check_loss_mask(())
     with pytest.raises(ValueError):
-        LossConfig(loss_mask=("mos", "nope"))
-    with pytest.raises(ValueError):
-        total_loss({}, LossConfig(loss_mask=()))
+        total_loss({"nope": T(1.0)}, LOSS_NAMES)

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sesqa import ad, objectives
+from sesqa import ad, objectives, training
 from sesqa.audio import AudioFormatError, write_wav
 from sesqa.degrade import KIND_NAMES, read_quadruple_manifest
 from sesqa.manifest import ManifestError
+from sesqa.measures import MEASURE_NAMES, MeasureVector, fit_normalizer
 from sesqa.model import Model, ModelConfig
 from sesqa.training import (FRAME_SAMPLES, QHState, SwaState, TrainConfig,
-                            _batch_losses, assemble_batch, augment,
-                            load_jnd_items, load_mos_items, lr_at, qh_step,
-                            read_jnd_manifest, read_mos_manifest,
-                            recalibrate_bn, swa_finalize)
+                            _batch_losses, _measure_targets, assemble_batch,
+                            augment, load_jnd_items, load_mos_items, lr_at,
+                            qh_step, read_jnd_manifest, read_mos_manifest,
+                            recalibrate_bn, swa_finalize, train)
 
 from conftest import speechlike
 
@@ -39,9 +40,10 @@ def _qh_reference(grads, lr=0.01, nu1=0.7, nu2=1.0, b1=0.995, b2=0.999,
     return w
 
 
-def test_qh_matches_scalar_reference():
+def test_qh_matches_scalar_reference(monkeypatch):
+    monkeypatch.setattr(training, "LOOKAHEAD_K", 10 ** 9)  # never fires
     params = _param(1.0)
-    state = QHState(params, lookahead_k=10 ** 9)  # lookahead never fires
+    state = QHState(params)
     grads = [0.3, -0.5, 0.8]
     for g in grads:
         params["w"].grad = np.array([g])
@@ -50,9 +52,11 @@ def test_qh_matches_scalar_reference():
                       rtol=1e-12)
 
 
-def test_lookahead_interpolates_slow_weights():
+def test_lookahead_interpolates_slow_weights(monkeypatch):
+    monkeypatch.setattr(training, "LOOKAHEAD_K", 2)
+    monkeypatch.setattr(training, "LOOKAHEAD_ALPHA", 0.5)
     params = _param(1.0)
-    state = QHState(params, lookahead_k=2, lookahead_alpha=0.5)
+    state = QHState(params)
     fasts = []
     for g in (0.3, -0.5):
         params["w"].grad = np.array([g])
@@ -76,6 +80,17 @@ def test_qh_error_cases():
     before = params["w"].data.copy()
     qh_step(params, state, lr=0.01)
     np.testing.assert_array_equal(params["w"].data, before)
+
+
+@pytest.mark.parametrize("mask", [("mos", "nope"), (), []])
+def test_train_config_rejects_bad_mask(mask):
+    with pytest.raises(ValueError):
+        TrainConfig(loss_mask=mask)
+
+
+def test_train_config_mask_is_a_tuple():
+    assert TrainConfig(loss_mask=["mos", "jnd"]).loss_mask == ("mos", "jnd")
+    assert TrainConfig().loss_mask == objectives.LOSS_NAMES
 
 
 def test_lr_schedule():
@@ -115,10 +130,8 @@ def test_swa_finalize_and_bn_recalibration():
     bn = model.bns["enc.stats_bn"]
     garbage = np.full_like(bn.running_mean, 123.0)
     bn.running_mean = garbage.copy()
-    old_momentum = bn.momentum
     swa_finalize(state, model, frames)
     assert not np.allclose(bn.running_mean, garbage)
-    assert bn.momentum == old_momentum
     # idempotent: a second pass over the same frames changes nothing
     snap = bn.running_mean.copy()
     recalibrate_bn(model, frames)
@@ -161,8 +174,8 @@ def test_float32_contract(monkeypatch):
     monkeypatch.setattr(Model, "encode", recording_encode)
     batch = assemble_batch(quads, np.arange(4), np.random.default_rng(0),
                            mos_items=mos_items, jnd_items=jnd_items)
-    lcfg = objectives.LossConfig()
-    total, _ = objectives.total_loss(_batch_losses(model, batch, lcfg), lcfg)
+    mask = objectives.LOSS_NAMES
+    total, _ = objectives.total_loss(_batch_losses(model, batch, mask), mask)
     total.backward()
     assert [z.dtype for z in encoded] == [np.float32]
     grads = {n: p.grad for n, p in model.params.items() if p.grad is not None}
@@ -213,8 +226,74 @@ def test_assemble_batch_ratios_and_targets():
     # no side data: quadruple-only batch
     bare = assemble_batch(quads, np.arange(4), rng)
     assert bare.mos_frames is None and bare.jnd_frames is None
+    # measure targets are the rows of the selected quadruples
+    targets = np.arange(12, dtype=np.float32).reshape(6, 2)
+    mask = np.ones_like(targets)
+    mask[[1, 3]] = 0.0
+    picked = assemble_batch(quads, np.array([4, 1]), rng,
+                            measure_targets=(targets, mask))
+    np.testing.assert_array_equal(picked.mr_targets, targets[[4, 1]])
+    np.testing.assert_array_equal(picked.mr_mask, [[1, 1], [0, 0]])
+    unmeasured = assemble_batch(quads, np.array([3, 1]), rng,
+                                measure_targets=(targets, mask))
+    assert unmeasured.mr_targets is None and unmeasured.mr_mask is None
     with pytest.raises(ValueError):
         assemble_batch(quads, np.array([], dtype=int), rng)
+
+
+def test_measure_targets_mask_missing_measures():
+    vecs = {0: MeasureVector({"ssnr": 1.0, "stoi": 0.5}),
+            1: MeasureVector({"ssnr": 3.0}),
+            2: MeasureVector({"ssnr": 2.0, "stoi": 0.9})}
+    names = ("ssnr", "stoi")
+    norm = fit_normalizer(vecs.values())
+    targets, mask = _measure_targets(vecs, names, norm, 4)  # 3: no vector
+    assert targets.dtype == mask.dtype == np.float32
+    np.testing.assert_array_equal(mask, [[1, 1], [1, 0], [1, 1], [0, 0]])
+    for row, vec in vecs.items():
+        for col, name in enumerate(names):
+            if name in vec.values:
+                assert targets[row, col] == np.float32(
+                    norm.apply_value(name, vec.values[name]))
+    assert not targets[mask == 0].any()
+
+
+@pytest.fixture(scope="module")
+def three_quads():
+    from toyrun import build_dataset
+    return build_dataset(n_train=3, n_heldout=0, seed=99)
+
+
+@pytest.mark.parametrize("case", ["jnd", "mr", "mos"])
+def test_one_row_batches_train(three_quads, case, tmp_path):
+    """Batch size 2 over 3 quadruples: a forward whose BatchNorm would see
+    a single row gives no loss that step instead of raising. That is jnd
+    with one JND pair, mr with one quadruple, and every loss when the
+    encoder sees one MOS frame."""
+    quads, _, mos_items, jnd_items, lookup = three_quads
+    data = {"jnd": {"jnd_items": jnd_items},
+            "mr": {"measure_lookup": lookup},
+            "mos": {"mos_items": mos_items}}[case]
+    model = Model(ModelConfig(channel_mult=0.125, measure_names=MEASURE_NAMES,
+                              seed=0))
+    cfg = TrainConfig(epochs=1, batch_size=2, seed=0,
+                      loss_mask=("mos",) if case == "mos"
+                      else objectives.LOSS_NAMES)
+    ckpt = tmp_path / "m.ckpt"
+    with pytest.warns(UserWarning, match="no data"):
+        log = train(model, cfg, quads, checkpoint_path=ckpt, **data)
+    assert ckpt.exists()
+    # the first step holds 2 quadruples (1 JND pair, 1 MOS item), the
+    # second 1 quadruple (no JND pair or MOS item)
+    fired = [set(rec) - {"step", "epoch", "lr", "total"} for rec in log]
+    if case == "jnd":
+        assert [f >= {"rank", "cons"} and "jnd" not in f
+                for f in fired] == [True, True]
+    elif case == "mr":
+        assert ["mr" in f for f in fired] == [True, False]
+    else:
+        assert fired == [set(), set()]
+        assert [rec["total"] for rec in log] == [0.0, 0.0]
 
 
 def test_manifest_readers(tmp_path):
