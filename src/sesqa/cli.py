@@ -129,6 +129,14 @@ def _generate_check(seed, transcoder_cmd, draws=100000) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _emit(text, path) -> None:
+    """Print a report, and write it to `path` too when one is given."""
+    print(text)
+    if path:
+        with open(path, "w") as f:
+            f.write(text + "\n")
+
+
 def _load_quads(manifest_path):
     if not manifest_path or not os.path.exists(manifest_path):
         raise UsageError("quadruple manifest not found: %r" % manifest_path)
@@ -241,11 +249,7 @@ def cmd_eval(args, file_config) -> int:
         report["e_total"] = evaluation.e_total(
             report["l_mos"], report["r_rank"], report["l_cons"])
 
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+    _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK
 
 
@@ -276,11 +280,7 @@ def cmd_analyze(args, file_config) -> int:
     if args.mode == "distances":
         quads = _load_quads(args.quadruples)
         stats = evaluation.latent_distance_stats(model, quads)
-        text = json.dumps(stats, indent=2)
-        print(text)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text + "\n")
+        _emit(json.dumps(stats, indent=2), args.out)
         return EXIT_OK
     if args.mode == "sweep":
         if not args.clean:
@@ -294,20 +294,16 @@ def cmd_analyze(args, file_config) -> int:
         lines += ["%g,%.4f" % (s, v) for s, v in
                   zip(curve["strengths"], curve["mean_scores"])]
         lines.append("clean,%.4f" % curve["clean_score"])
-        text = "\n".join(lines)
-        print(text)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text + "\n")
+        _emit("\n".join(lines), args.out)
         return EXIT_OK
     if args.mode == "latents":
+        if not args.out:
+            raise UsageError("latents mode needs --out")
         quads = _load_quads(args.quadruples)
         items = []
         for i, q in enumerate(quads):
             items.append((i, q.x_ik.samples,
                           {"kinds": [s.kind for s in q.chain_i]}))
-        if not args.out:
-            raise UsageError("latents mode needs --out")
         evaluation.export_latents(model, items, args.out)
         print("wrote %d latents to %s" % (len(items), args.out))
         return EXIT_OK

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from ..audio import (AudioFrame, CANONICAL_RATE, FrameSlice, extract_slice,
-                     is_usable, peak_normalize, read_wav, write_wav)
+                     is_usable, peak_normalize, read_wav, read_wav_48k,
+                     write_wav)
 from ..manifest import read_jsonl, str_field
 from .chains import DegradationSpec, sample_chain
 from .kernels import apply_chain
@@ -211,8 +212,8 @@ def read_quadruple_manifest(manifest_path) -> list:
 
 
 def load_quadruple(rec) -> Quadruple:
-    """Materialize a manifest record back into a Quadruple."""
-    frames = {tag: read_wav(rec["wav_" + tag])
+    """Materialize a manifest record of 48 kHz WAVs into a Quadruple."""
+    frames = {tag: read_wav_48k(rec["wav_" + tag])
               for tag in ("ik", "il", "jk", "jl")}
     dt_i, ds_i = chain_targets(rec["chain_i"])
     dt_j, ds_j = chain_targets(rec["chain_j"])

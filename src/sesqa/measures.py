@@ -1,8 +1,11 @@
 """Reference-based objective quality measures.
 
 These supply the regression targets for the measure-estimation head. All
-functions take a clean reference and a degraded signal of equal length at
-48 kHz and return a scalar. Windowing conventions are fixed here:
+functions take a clean reference and a degraded signal of equal length and
+return a scalar. The rate is fixed at 48 kHz, the model's one input rate:
+an AudioFrame at any other rate raises AudioFormatError, and plain arrays
+are taken to be 48 kHz. The framing windows and filterbanks are built once,
+at import. Windowing conventions are fixed here:
 
 * SSNR / LLR / WSSD: 30 ms frames, 75% overlap, Hann window, at 48 kHz.
 * STOI: resampled to 10 kHz internally, 15 one-third-octave bands starting
@@ -31,7 +34,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, irfft, next_fast_len, rfft
 from scipy.signal import resample_poly
 
-from .audio import AudioFrame, DegenerateInputError
+from .audio import (CANONICAL_RATE, AudioFormatError, AudioFrame,
+                    DegenerateInputError)
 
 MEASURE_NAMES = ("ssnr", "llr", "wssd", "stoi", "sisdr", "mcd", "lmbd")
 UNAVAILABLE_MEASURES = ("pesq", "csig", "cbak", "covl")
@@ -40,6 +44,7 @@ SSNR_MIN_DB = -10.0
 SSNR_MAX_DB = 35.0
 SISDR_CAP_DB = 60.0
 LPC_ORDER = 16
+RATE = CANONICAL_RATE
 
 _EPS = 1e-12
 
@@ -50,6 +55,9 @@ class MeasureUnavailableError(RuntimeError):
 
 def _as_samples(x) -> np.ndarray:
     if isinstance(x, AudioFrame):
+        if x.sample_rate != RATE:
+            raise AudioFormatError("sample rate %d Hz, measures need %d Hz"
+                                   % (x.sample_rate, RATE))
         x = x.samples
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -80,20 +88,20 @@ def _frame(x: np.ndarray, size: int, hop: int, window=None) -> np.ndarray:
     return frames
 
 
-def _pow2(n: int) -> int:
-    """Smallest power of two >= n."""
-    return 1 << (n - 1).bit_length()
+# 30 ms Hann frames with 75% overlap for SSNR, LLR and WSSD
+_FRAME = int(round(0.030 * RATE))
+_HOP = _FRAME // 4
+_WIN = np.hanning(_FRAME)
+_NFFT = 2048  # WSSD and MCD/LMBD: the power of two above 30 ms and 25 ms
 
 
 # ------------------------------------------------------------------ SSNR
 
-def ssnr(reference, degraded, sample_rate=48000) -> float:
+def ssnr(reference, degraded) -> float:
     """Segmental SNR, mean over 30 ms frames, each clamped to [-10, 35] dB."""
     r, d = _check_pair(reference, degraded)
-    size = int(round(0.030 * sample_rate))
-    hop = size // 4
-    rf = _frame(r, size, hop)
-    df = _frame(d, size, hop)
+    rf = _frame(r, _FRAME, _HOP)
+    df = _frame(d, _FRAME, _HOP)
     sig = np.sum(rf ** 2, axis=1)
     noise = np.sum((rf - df) ** 2, axis=1)
     keep = sig > 0
@@ -144,18 +152,15 @@ def _lpc_quadform(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     return acc
 
 
-def llr(reference, degraded, sample_rate=48000, order=LPC_ORDER) -> float:
+def llr(reference, degraded) -> float:
     """Log-likelihood ratio between LPC fits, mean over 30 ms frames."""
     r, d = _check_pair(reference, degraded)
-    size = int(round(0.030 * sample_rate))
-    hop = size // 4
-    win = np.hanning(size)
-    ac_r = _autocorr(_frame(r, size, hop, win), order)
-    ac_d = _autocorr(_frame(d, size, hop, win), order)
+    ac_r = _autocorr(_frame(r, _FRAME, _HOP, _WIN), LPC_ORDER)
+    ac_d = _autocorr(_frame(d, _FRAME, _HOP, _WIN), LPC_ORDER)
     active = ac_r[:, 0] > _EPS
     ac_r, ac_d = ac_r[active], ac_d[active]
-    num = _lpc_quadform(_levinson(ac_d, order), ac_r)
-    den = _lpc_quadform(_levinson(ac_r, order), ac_r)
+    num = _lpc_quadform(_levinson(ac_d, LPC_ORDER), ac_r)
+    den = _lpc_quadform(_levinson(ac_r, LPC_ORDER), ac_r)
     ok = (den > _EPS) & np.isfinite(num) & np.isfinite(den)
     if not np.any(ok):
         raise DegenerateInputError("no analyzable frames for LLR")
@@ -178,16 +183,15 @@ _WSS_BW = np.array([
     346.136])
 _WSS_KMAX = 20.0
 _WSS_KLOCMAX = 1.0
+# Gaussian band filters, shape (25, _NFFT // 2 + 1)
+_WSS_FILTER = np.exp(-11.0 * ((np.fft.rfftfreq(_NFFT, 1.0 / RATE)[None, :]
+                               - _WSS_CF[:, None]) / _WSS_BW[:, None]) ** 2)
 
 
-def _wss_band_db(frames: np.ndarray, sample_rate: int) -> np.ndarray:
+def _wss_band_db(frames: np.ndarray) -> np.ndarray:
     """Per-frame critical-band energies in dB, shape (n_frames, 25)."""
-    nfft = _pow2(frames.shape[1])
-    spec = np.abs(rfft(frames, nfft, axis=1)) ** 2
-    freqs = np.fft.rfftfreq(nfft, 1.0 / sample_rate)
-    filt = np.exp(-11.0 * ((freqs[None, :] - _WSS_CF[:, None])
-                           / _WSS_BW[:, None]) ** 2)
-    bands = spec @ filt.T
+    spec = np.abs(rfft(frames, _NFFT, axis=1)) ** 2
+    bands = spec @ _WSS_FILTER.T
     return 10.0 * np.log10(np.maximum(bands, _EPS))
 
 
@@ -211,14 +215,11 @@ def _wss_peaks(db: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return np.take_along_axis(db, peak, axis=1)
 
 
-def wssd(reference, degraded, sample_rate=48000) -> float:
+def wssd(reference, degraded) -> float:
     """Weighted spectral slope distance over 30 ms frames."""
     r, d = _check_pair(reference, degraded)
-    size = int(round(0.030 * sample_rate))
-    hop = size // 4
-    win = np.hanning(size)
-    db_r = _wss_band_db(_frame(r, size, hop, win), sample_rate)
-    db_d = _wss_band_db(_frame(d, size, hop, win), sample_rate)
+    db_r = _wss_band_db(_frame(r, _FRAME, _HOP, _WIN))
+    db_d = _wss_band_db(_frame(d, _FRAME, _HOP, _WIN))
 
     slope_r = np.diff(db_r, axis=1)
     slope_d = np.diff(db_d, axis=1)
@@ -242,31 +243,22 @@ _STOI_FIRST_CF = 150.0
 _STOI_SEG = 30          # frames per 384 ms analysis segment
 _STOI_CLIP_DB = -15.0
 _STOI_VAD_RANGE_DB = 40.0
+_STOI_WIN = np.hanning(_STOI_FRAME)
+_STOI_CF = _STOI_FIRST_CF * 2.0 ** (np.arange(_STOI_NBANDS) / 3.0)
+_STOI_FREQS = np.fft.rfftfreq(_STOI_NFFT, 1.0 / _STOI_RATE)
+# one-third-octave band matrix (15, _STOI_NFFT // 2 + 1) of 0s and 1s
+_STOI_BANDS = ((_STOI_FREQS >= _STOI_CF[:, None] * 2.0 ** (-1.0 / 6.0))
+               & (_STOI_FREQS < _STOI_CF[:, None] * 2.0 ** (1.0 / 6.0))
+               ).astype(np.float64)
 
 
-def _third_octave_matrix() -> np.ndarray:
-    """Boolean band matrix (15, nfft//2+1) of one-third-octave bands."""
-    freqs = np.fft.rfftfreq(_STOI_NFFT, 1.0 / _STOI_RATE)
-    cf = _STOI_FIRST_CF * 2.0 ** (np.arange(_STOI_NBANDS) / 3.0)
-    lo = cf * 2.0 ** (-1.0 / 6.0)
-    hi = cf * 2.0 ** (1.0 / 6.0)
-    return ((freqs[None, :] >= lo[:, None])
-            & (freqs[None, :] < hi[:, None])).astype(np.float64)
-
-
-def stoi(reference, degraded, sample_rate=48000) -> float:
+def stoi(reference, degraded) -> float:
     """Short-time objective intelligibility (correlation based, in [-1, 1])."""
     r, d = _check_pair(reference, degraded)
-    if sample_rate != _STOI_RATE:
-        if sample_rate % 2000:
-            raise ValueError("unsupported sample rate for STOI: %d"
-                             % sample_rate)
-        r = resample_poly(r, _STOI_RATE, sample_rate)
-        d = resample_poly(d, _STOI_RATE, sample_rate)
-
-    win = np.hanning(_STOI_FRAME)
-    rf = _frame(r, _STOI_FRAME, _STOI_HOP, win)
-    df = _frame(d, _STOI_FRAME, _STOI_HOP, win)
+    r = resample_poly(r, _STOI_RATE, RATE)
+    d = resample_poly(d, _STOI_RATE, RATE)
+    rf = _frame(r, _STOI_FRAME, _STOI_HOP, _STOI_WIN)
+    df = _frame(d, _STOI_FRAME, _STOI_HOP, _STOI_WIN)
 
     # energy VAD on the reference; drop frames 40 dB below the loudest
     energy = 20.0 * np.log10(np.linalg.norm(rf, axis=1) + _EPS)
@@ -275,9 +267,8 @@ def stoi(reference, degraded, sample_rate=48000) -> float:
     if len(rf) < _STOI_SEG:
         raise DegenerateInputError("too few active frames for STOI")
 
-    band = _third_octave_matrix()
-    xr = np.sqrt((np.abs(rfft(rf, _STOI_NFFT, axis=1)) ** 2) @ band.T)
-    xd = np.sqrt((np.abs(rfft(df, _STOI_NFFT, axis=1)) ** 2) @ band.T)
+    xr = np.sqrt((np.abs(rfft(rf, _STOI_NFFT, axis=1)) ** 2) @ _STOI_BANDS.T)
+    xd = np.sqrt((np.abs(rfft(df, _STOI_NFFT, axis=1)) ** 2) @ _STOI_BANDS.T)
 
     clip_gain = 10.0 ** (-_STOI_CLIP_DB / 20.0)
     corrs = []
@@ -316,6 +307,9 @@ def sisdr(reference, degraded) -> float:
 
 _MEL_NBANDS = 40
 _MEL_NCEP = 13
+_MEL_FRAME = int(round(0.025 * RATE))
+_MEL_HOP = int(round(0.010 * RATE))
+_MEL_WIN = np.hanning(_MEL_FRAME)
 
 
 def _hz_to_mel(f):
@@ -326,10 +320,11 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-def _mel_filterbank(sample_rate: int, nfft: int) -> np.ndarray:
-    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(sample_rate / 2.0),
+def _mel_filterbank() -> np.ndarray:
+    """Triangular filters (40, _NFFT // 2 + 1) up to the Nyquist rate."""
+    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(RATE / 2.0),
                                    _MEL_NBANDS + 2))
-    freqs = np.fft.rfftfreq(nfft, 1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(_NFFT, 1.0 / RATE)
     fb = np.zeros((_MEL_NBANDS, len(freqs)))
     for i in range(_MEL_NBANDS):
         lo, mid, hi = edges[i], edges[i + 1], edges[i + 2]
@@ -339,64 +334,55 @@ def _mel_filterbank(sample_rate: int, nfft: int) -> np.ndarray:
     return fb
 
 
-def _log_mel(x: np.ndarray, sample_rate: int) -> np.ndarray:
-    size = int(round(0.025 * sample_rate))
-    hop = int(round(0.010 * sample_rate))
-    win = np.hanning(size)
-    frames = _frame(x, size, hop, win)
-    nfft = _pow2(size)
-    spec = np.abs(rfft(frames, nfft, axis=1)) ** 2
-    mel = spec @ _mel_filterbank(sample_rate, nfft).T
-    return np.log(np.maximum(mel, _EPS))
+_MEL_FB = _mel_filterbank()
 
 
-def mcd(reference, degraded, sample_rate=48000) -> float:
+def _log_mel(x: np.ndarray) -> np.ndarray:
+    frames = _frame(x, _MEL_FRAME, _MEL_HOP, _MEL_WIN)
+    spec = np.abs(rfft(frames, _NFFT, axis=1)) ** 2
+    return np.log(np.maximum(spec @ _MEL_FB.T, _EPS))
+
+
+def mcd(reference, degraded) -> float:
     """Mel-cepstral distortion in dB over cepstra 1..13 (c0 excluded)."""
     r, d = _check_pair(reference, degraded)
-    cep_r = dct(_log_mel(r, sample_rate), type=2, norm="ortho", axis=1)
-    cep_d = dct(_log_mel(d, sample_rate), type=2, norm="ortho", axis=1)
+    cep_r = dct(_log_mel(r), type=2, norm="ortho", axis=1)
+    cep_d = dct(_log_mel(d), type=2, norm="ortho", axis=1)
     diff = cep_r[:, 1:_MEL_NCEP + 1] - cep_d[:, 1:_MEL_NCEP + 1]
     per_frame = np.sqrt(np.sum(diff ** 2, axis=1))
     return float(10.0 * np.sqrt(2.0) / np.log(10.0) * np.mean(per_frame))
 
 
-def lmbd(reference, degraded, sample_rate=48000) -> float:
+def lmbd(reference, degraded) -> float:
     """Log-mel-band distortion: mean absolute log-energy difference in dB."""
     r, d = _check_pair(reference, degraded)
-    lm_r = _log_mel(r, sample_rate)
-    lm_d = _log_mel(d, sample_rate)
+    lm_r = _log_mel(r)
+    lm_d = _log_mel(d)
     return float(np.mean(np.abs(lm_r - lm_d)) * 10.0 / np.log(10.0))
 
 
 # ----------------------------------------------------------- registry
-
-def _unavailable_factory(name):
-    def fn(reference, degraded, sample_rate=48000):
-        raise MeasureUnavailableError(
-            "%s is not implemented in this build" % name.upper())
-    return fn
-
 
 _REGISTRY = {
     "ssnr": ssnr,
     "llr": llr,
     "wssd": wssd,
     "stoi": stoi,
-    "sisdr": lambda reference, degraded, sample_rate=48000:
-        sisdr(reference, degraded),
+    "sisdr": sisdr,
     "mcd": mcd,
     "lmbd": lmbd,
 }
-for _name in UNAVAILABLE_MEASURES:
-    _REGISTRY[_name] = _unavailable_factory(_name)
 
 
-def compute_measure(kind: str, reference, degraded, sample_rate=48000) -> float:
+def compute_measure(kind: str, reference, degraded) -> float:
     """Dispatch a single measure by name (case-insensitive)."""
     key = kind.lower()
+    if key in UNAVAILABLE_MEASURES:
+        raise MeasureUnavailableError("%s is not implemented in this build"
+                                      % key.upper())
     if key not in _REGISTRY:
         raise KeyError("unknown measure %r" % kind)
-    return _REGISTRY[key](reference, degraded, sample_rate=sample_rate)
+    return _REGISTRY[key](reference, degraded)
 
 
 @dataclass
@@ -410,13 +396,12 @@ class MeasureVector:
     values: dict = field(default_factory=dict)
 
 
-def compute_measure_vector(reference, degraded, sample_rate=48000,
+def compute_measure_vector(reference, degraded,
                            names=MEASURE_NAMES) -> MeasureVector:
     values = {}
     for name in names:
         try:
-            values[name] = compute_measure(name, reference, degraded,
-                                           sample_rate=sample_rate)
+            values[name] = compute_measure(name, reference, degraded)
         except (MeasureUnavailableError, DegenerateInputError):
             pass
     return MeasureVector(values=values)

@@ -30,6 +30,22 @@ INFER_BATCH = 16            # rows per forward pass in Model.infer
 # score logits are clipped to +-15, so scores stay strictly inside (1,5)
 # in float32 (1.0000012 to 4.9999986) and exp never overflows
 SCORE_LOGIT_CLIP = 15.0
+HEAD_HIDDEN = 400
+# The auxiliary heads, in the creation order that fixes the checkpoint's
+# RNG draws and tensor order: name -> (reads a concatenated latent pair,
+# has a HEAD_HIDDEN-unit ReLU layer, output through a sigmoid). Each head
+# ends in its own BatchNorm; mr is an unbounded regression.
+HEADS = {"jnd": (True, False, True), "dt": (False, False, True),
+         "sd": (True, True, True), "ds": (False, True, True),
+         "mr": (True, True, False)}
+
+
+def _head_layers(name: str) -> tuple:
+    """Parameter-name prefixes of a head's linear layers, input first."""
+    _, hidden, _ = HEADS[name]
+    if hidden:
+        return ("head.%s.l0." % name, "head.%s.l1." % name)
+    return ("head.%s." % name,)
 
 
 class CheckpointError(ValueError):
@@ -122,29 +138,22 @@ class Model:
         self._param("enc.mlp1.b", np.zeros(LATENT_DIM))
         self._bn("enc.mlp1.bn", LATENT_DIM)
 
-        D, P = LATENT_DIM, 2 * LATENT_DIM
-        n_dt = cfg.n_kinds + 1  # extra coordinate for the clean class
+        D = LATENT_DIM
         self._param("head.score.w", self._linear_init(rng, D, 1))
         self._param("head.score.b", np.zeros(1))
         # the draw of a deleted pair-score head: later heads keep their init
-        self._linear_init(rng, P, 1)
+        self._linear_init(rng, 2 * D, 1)
 
-        self._param("head.jnd.w", self._linear_init(rng, P, 1))
-        self._param("head.jnd.b", np.zeros(1))
-        self._bn("head.jnd.bn", 1)
-
-        self._param("head.dt.w", self._linear_init(rng, D, n_dt))
-        self._param("head.dt.b", np.zeros(n_dt))
-        self._bn("head.dt.bn", n_dt)
-
-        for name, din, dout in (("sd", P, 1),
-                                ("ds", D, cfg.n_kinds),
-                                ("mr", P, max(1, len(cfg.measure_names)))):
-            self._param("head.%s.l0.w" % name, self._linear_init(rng, din, 400))
-            self._param("head.%s.l0.b" % name, np.zeros(400))
-            self._param("head.%s.l1.w" % name, self._linear_init(rng, 400, dout))
-            self._param("head.%s.l1.b" % name, np.zeros(dout))
-            self._bn("head.%s.bn" % name, dout)
+        widths = {"jnd": 1, "dt": cfg.n_kinds + 1,  # +1: the clean class
+                  "sd": 1, "ds": cfg.n_kinds,
+                  "mr": max(1, len(cfg.measure_names))}
+        for name, (pair, hidden, _) in HEADS.items():
+            dims = ((2 * D if pair else D,)
+                    + ((HEAD_HIDDEN,) if hidden else ()) + (widths[name],))
+            for prefix, din, dout in zip(_head_layers(name), dims, dims[1:]):
+                self._param(prefix + "w", self._linear_init(rng, din, dout))
+                self._param(prefix + "b", np.zeros(dout))
+            self._bn("head.%s.bn" % name, dims[-1])
 
     # ---------------------------------------------------------- forward
     def _prepare(self, frames: np.ndarray) -> np.ndarray:
@@ -225,42 +234,24 @@ class Model:
         with ad.no_grad():
             return self.score(np.asarray(z) - np.asarray(z_ref)).data
 
-    def _mlp_head(self, name, x, train):
-        p = self.params
-        h = nn.linear(x, p["head.%s.l0.w" % name], p["head.%s.l0.b" % name])
-        h = ad.relu(h)
-        h = nn.linear(h, p["head.%s.l1.w" % name], p["head.%s.l1.b" % name])
-        return self.bns["head.%s.bn" % name](h, train)
-
     def head_forward(self, head_id: str, z_a, z_b=None, train: bool = False):
-        """Run one head. Pair heads (sd, jnd, mr) need two latents."""
-        pair_heads = {"sd", "jnd", "mr"}
-        single_heads = {"dt", "ds", "score"}
-        if head_id in pair_heads:
-            if z_b is None:
-                raise ValueError("head %r needs two latents" % head_id)
-            x = ad.concat([ad.as_tensor(z_a), ad.as_tensor(z_b)], axis=1)
-        elif head_id in single_heads:
-            if z_b is not None:
-                raise ValueError("head %r takes a single latent" % head_id)
-            x = ad.as_tensor(z_a)
-        else:
+        """Run one auxiliary head of HEADS; pair heads need two latents."""
+        if head_id not in HEADS:
             raise ValueError("unknown head %r" % head_id)
-
+        pair, _, sigmoid = HEADS[head_id]
+        if pair != (z_b is not None):
+            raise ValueError("head %r takes %s" % (
+                head_id, "two latents" if pair else "one latent"))
+        h = ad.as_tensor(z_a)
+        if pair:
+            h = ad.concat([h, ad.as_tensor(z_b)], axis=1)
         p = self.params
-        if head_id == "score":
-            return self.score(x)
-        if head_id == "jnd":
-            h = nn.linear(x, p["head.jnd.w"], p["head.jnd.b"])
-            return ad.sigmoid(self.bns["head.jnd.bn"](h, train))
-        if head_id == "dt":
-            h = nn.linear(x, p["head.dt.w"], p["head.dt.b"])
-            return ad.sigmoid(self.bns["head.dt.bn"](h, train))
-        if head_id == "sd":
-            return ad.sigmoid(self._mlp_head("sd", x, train))
-        if head_id == "ds":
-            return ad.sigmoid(self._mlp_head("ds", x, train))
-        return self._mlp_head("mr", x, train)  # unbounded regression
+        for i, prefix in enumerate(_head_layers(head_id)):
+            if i:
+                h = ad.relu(h)
+            h = nn.linear(h, p[prefix + "w"], p[prefix + "b"])
+        h = self.bns["head.%s.bn" % head_id](h, train)
+        return ad.sigmoid(h) if sigmoid else h
 
     # ------------------------------------------------------- persistence
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -341,7 +332,8 @@ def _meta_config(c, n_bytes: int) -> ModelConfig:
         raise CheckpointError("bad seed %r" % (seed,))
     # six (ch(512), ch(512), 3) residual convs, the ds and mr output layers
     width = max(1, 512 * mult - 1)
-    need = 4 * (18 * width * width + 400 * (n_kinds + max(1, len(names))))
+    need = 4 * (18 * width * width
+                + HEAD_HIDDEN * (n_kinds + max(1, len(names))))
     if need > n_bytes:
         raise CheckpointError("config needs more tensor data than the "
                               "file holds")

@@ -19,7 +19,7 @@ from . import ad, objectives
 from .audio import read_wav_48k
 from .manifest import read_jsonl, str_field
 from .measures import fit_normalizer
-from .model import Model, save_checkpoint
+from .model import HEADS, Model, save_checkpoint
 
 FRAME_SAMPLES = 48000
 
@@ -303,11 +303,9 @@ def recalibrate_bn(model: Model, sample_frames) -> None:
         z = model.encode(np.asarray(sample_frames), train=True).data
         half = z.shape[0] // 2
         if half >= 1:
-            for head in ("sd", "jnd", "mr"):
-                model.head_forward(head, z[:half], z[half:2 * half],
-                                   train=True)
-            for head in ("dt", "ds"):
-                model.head_forward(head, z, train=True)
+            for name, (pair, _, _) in HEADS.items():
+                latents = (z[:half], z[half:2 * half]) if pair else (z,)
+                model.head_forward(name, *latents, train=True)
 
 
 # ------------------------------------------------------------- main loop

@@ -296,6 +296,34 @@ def test_other_rates_rejected(checkpoint, tmp_path, capsys):
     assert rc == EXIT_USAGE
 
 
+def test_other_rate_quadruples_rejected(workdir, checkpoint, tmp_path,
+                                        capsys):
+    recs = [json.loads(l) for l in
+            workdir["manifest"].read_text().splitlines()[:3]]
+    for i, rec in enumerate(recs):
+        for tag in ("ik", "il", "jk", "jl"):
+            rec["wav_" + tag] = str(tmp_path / ("q%d_%s.wav" % (i, tag)))
+            write_wav(speechlike(seed=90 + i, seconds=1.0, rate=16000),
+                      rec["wav_" + tag])
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    quads = ["--quadruples", str(manifest)]
+    for argv in (["train", "--epochs", "1", "--batch-size", "2",
+                  "--channels", "0.125", "--out", str(tmp_path / "x.ckpt")],
+                 ["eval", "--checkpoint", str(checkpoint)],
+                 ["analyze", "--checkpoint", str(checkpoint),
+                  "--mode", "distances"]):
+        assert main(argv + quads) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: sample rate 16000 Hz"
+                              % recs[0]["wav_ik"]), err
+    # latents mode refuses a missing --out before it reads the manifest
+    rc = main(["analyze", "--checkpoint", str(checkpoint), "--mode",
+               "latents", "--quadruples", str(tmp_path / "missing.jsonl")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: latents mode needs --out\n"
+
+
 def test_bad_reference_exit_code(checkpoint, tmp_path, capsys):
     ok, short, rate0 = (tmp_path / n for n in ("ok.wav", "short.wav",
                                                "rate0.wav"))

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import solve_toeplitz
 
 from sesqa import measures
+from sesqa.audio import AudioFormatError, AudioFrame
 from sesqa.measures import (MEASURE_NAMES, UNAVAILABLE_MEASURES,
                             MeasureNormalizer, MeasureUnavailableError,
                             compute_measure, compute_measure_vector,
@@ -30,6 +31,17 @@ def test_identity_optima(clean):
     for name, best in IDENTITY_OPTIMA.items():
         v = compute_measure(name, clean, clean)
         assert np.isclose(v, best, atol=1e-6), (name, v)
+
+
+def test_measures_reject_other_rates(clean):
+    noise = np.random.default_rng(5).normal(size=len(clean)).astype(np.float32)
+    deg = _at_snr(clean, noise, 10.0)
+    ref_f, deg_f = AudioFrame(clean, RATE), AudioFrame(deg, RATE)
+    for name in MEASURE_NAMES:
+        assert compute_measure(name, ref_f, deg_f) == \
+            compute_measure(name, clean, deg)
+        with pytest.raises(AudioFormatError):
+            compute_measure(name, AudioFrame(clean, 16000), deg)
 
 
 def test_unavailable_measures_raise(clean):
@@ -174,8 +186,8 @@ def test_wssd_matches_loop(clean):
     ref = clean.astype(np.float64)
     deg = _at_snr(clean, noise, 10.0).astype(np.float64)
     win = np.hanning(1440)
-    db_r = measures._wss_band_db(_frame_gather(ref, 1440, 360, win), RATE)
-    db_d = measures._wss_band_db(_frame_gather(deg, 1440, 360, win), RATE)
+    db_r = measures._wss_band_db(_frame_gather(ref, 1440, 360, win))
+    db_d = measures._wss_band_db(_frame_gather(deg, 1440, 360, win))
     vals = []
     for r, d in zip(db_r, db_d):
         sl_r, sl_d = np.diff(r), np.diff(d)

@@ -154,6 +154,22 @@ def test_recalibrate_bn_same_stats_without_graph(monkeypatch):
         np.testing.assert_array_equal(var, stats[1][name][1])
 
 
+def test_recalibrate_bn_sets_every_batchnorm():
+    model = Model(ModelConfig(channel_mult=0.25, measure_names=("ssnr",),
+                              seed=0))
+    heads = {"head.%s.bn" % h for h in ("jnd", "dt", "sd", "ds", "mr")}
+    assert heads <= set(model.bns)
+    for bn in model.bns.values():
+        bn.running_mean = np.full_like(bn.running_mean, 123.0)
+        bn.running_var = np.full_like(bn.running_var, 123.0)
+    frames = np.stack([speechlike(seed=40 + i, seconds=1.0).samples
+                       for i in range(4)])
+    recalibrate_bn(model, frames)
+    for name, bn in model.bns.items():
+        assert not np.any(bn.running_mean == 123.0), name
+        assert not np.any(bn.running_var == 123.0), name
+
+
 def test_float32_contract(monkeypatch):
     """Inference outputs, a training step's latents and every parameter
     gradient stay float32."""
