@@ -16,12 +16,14 @@ import sys
 import numpy as np
 
 from . import evaluation
-from .audio import (AudioFormatError, DegenerateInputError, read_wav,
-                    read_wav_48k)
+from .audio import AudioFormatError, DegenerateInputError, read_wav_48k
 from .degrade import (CleanPool, PoolExhaustedError, FIRST_STAGE,
-                      SECOND_STAGE, read_quadruple_manifest,
+                      SECOND_STAGE, UnavailableDegradationError,
+                      read_quadruple_manifest, sample_chain,
                       write_quadruple_manifest)
+from .degrade.kinds import KIND_NAMES, NATIVE_KINDS
 from .degrade.quadruples import iter_quadruples, load_quadruple
+from .degrade.transcode import validate_template
 from .manifest import ManifestError
 from .measures import MEASURE_NAMES, compute_measure_vector
 from .model import CheckpointError, Model, ModelConfig, load_checkpoint
@@ -36,6 +38,7 @@ EXIT_NUMERICAL = 3
 EXIT_CHECKPOINT = 4
 
 ENV_PREFIX = "SESQA_"
+CHECK_DRAWS = 100000      # chains per stage drawn by `generate --check`
 
 
 class UsageError(ValueError):
@@ -83,6 +86,11 @@ def cmd_generate(args, file_config) -> int:
     n = resolve_option("n", args.n, file_config, default=0, cast=int)
     seed = resolve_option("seed", args.seed, file_config, default=0, cast=int)
     tc = resolve_option("transcoder_cmd", args.transcoder_cmd, file_config)
+    if tc is not None:
+        try:
+            validate_template(tc)
+        except ValueError as e:
+            raise UsageError(str(e)) from e
     if n <= 0:
         raise UsageError("--n must be a positive integer")
     if not args.pool or not os.path.isdir(args.pool):
@@ -90,7 +98,7 @@ def cmd_generate(args, file_config) -> int:
     pool = CleanPool.from_directory(args.pool)
     noise_pool = None
     if args.noise_pool:
-        noise_pool = [read_wav(os.path.join(args.noise_pool, p))
+        noise_pool = [read_wav_48k(os.path.join(args.noise_pool, p))
                       for p in sorted(os.listdir(args.noise_pool))
                       if p.endswith(".wav")]
 
@@ -107,21 +115,19 @@ def cmd_generate(args, file_config) -> int:
     return EXIT_OK
 
 
-def _generate_check(seed, transcoder_cmd, draws=100000) -> int:
+def _generate_check(seed, transcoder_cmd) -> int:
     """Validate empirical chain-length frequencies against their nominal
     distributions."""
-    from .degrade import sample_chain
-    from .degrade.kinds import KIND_NAMES, NATIVE_KINDS
     available = KIND_NAMES if transcoder_cmd else NATIVE_KINDS
     rng = np.random.default_rng(seed)
     ok = True
     for stage, dist in (("first", FIRST_STAGE), ("second", SECOND_STAGE)):
         lengths = [len(sample_chain(stage, rng, available=available))
-                   for _ in range(draws)]
+                   for _ in range(CHECK_DRAWS)]
         counts = np.bincount(lengths, minlength=dist.counts[-1] + 1)
         for c, p in zip(dist.counts, dist.count_probs):
-            freq = counts[c] / draws
-            sigma = np.sqrt(p * (1 - p) / draws)
+            freq = counts[c] / CHECK_DRAWS
+            sigma = np.sqrt(p * (1 - p) / CHECK_DRAWS)
             line_ok = abs(freq - p) <= 3 * sigma
             ok = ok and line_ok
             print("%s stage length %d: %.4f (expected %.2f) %s"
@@ -285,8 +291,9 @@ def cmd_analyze(args, file_config) -> int:
     if args.mode == "sweep":
         if not args.clean:
             raise UsageError("sweep mode needs --clean WAV")
-        if not args.kind:
-            raise UsageError("sweep mode needs --kind")
+        if args.kind not in NATIVE_KINDS:
+            raise UsageError("sweep mode needs --kind, one of the native "
+                             "kinds: %s" % ", ".join(NATIVE_KINDS))
         frame = read_wav_48k(args.clean)
         curve = evaluation.strength_sweep(model, frame, args.kind,
                                           seed=args.seed or 0)
@@ -380,7 +387,7 @@ def main(argv=None) -> int:
         file_config = _load_config_file(args.config)
         return _COMMANDS[args.command](args, file_config)
     except (UsageError, ManifestError, PoolExhaustedError, FileNotFoundError,
-            AudioFormatError) as e:
+            AudioFormatError, UnavailableDegradationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except CheckpointError as e:

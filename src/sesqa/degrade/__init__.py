@@ -1,7 +1,7 @@
 """Programmatic degradation engine: kind registry, native kernels,
 chain sampling, and quadruple generation."""
 
-from .kinds import (KIND_NAMES, KIND_PROBS, TRANSCODE_KINDS,
+from .kinds import (KIND_NAMES, KINDS, TRANSCODE_KINDS,
                     UnavailableDegradationError, strength_to_params)
 from .chains import (ChainDistribution, DegradationSpec, sample_chain,
                      sample_spec, FIRST_STAGE, SECOND_STAGE)
@@ -11,7 +11,7 @@ from .quadruples import (CleanPool, PoolExhaustedError, Quadruple,
                          write_quadruple_manifest)
 
 __all__ = [
-    "KIND_NAMES", "KIND_PROBS", "TRANSCODE_KINDS",
+    "KIND_NAMES", "KINDS", "TRANSCODE_KINDS",
     "UnavailableDegradationError", "strength_to_params",
     "ChainDistribution", "DegradationSpec", "sample_chain", "sample_spec",
     "FIRST_STAGE", "SECOND_STAGE", "apply_chain", "apply_degradation",

@@ -12,10 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinds import kind_probabilities, strength_to_params
-
-STFT_WINDOW_CHOICES = (256, 512, 1024, 2048, 4096)
-PARTIAL_PROB = 0.25
+from .kinds import KINDS, kind_probabilities, strength_to_params
 
 
 @dataclass(frozen=True)
@@ -26,8 +23,6 @@ class DegradationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.strength <= 1.0:
-            raise ValueError("strength must be in [0, 1]")
         # resolve the physical parameters once; also validates the kind
         params = dict(strength_to_params(self.kind, self.strength))
         params.update(self.aux_params)
@@ -62,52 +57,11 @@ SECOND_STAGE = ChainDistribution("second", (1, 2, 3, 4),
 _STAGES = {"first": FIRST_STAGE, "second": SECOND_STAGE}
 
 
-def _sample_aux(kind: str, rng: np.random.Generator) -> dict:
-    """Sample the kind-specific randomized aspects not tied to strength."""
-    aux = {}
-    if kind in ("additive_noise", "colored_noise", "hum_noise"):
-        aux["partial"] = bool(rng.random() < PARTIAL_PROB)
-    if kind == "colored_noise":
-        aux["exponent"] = float(rng.uniform(0.0, 0.7))
-    if kind in ("hum_noise", "tonal_noise"):
-        aux["waveform"] = str(rng.choice(["sine", "sawtooth", "square"]))
-    if kind == "hum_noise":
-        base = float(rng.choice([50.0, 60.0]))
-        aux["freq_hz"] = base + float(rng.uniform(-2.0, 2.0))
-    if kind == "tonal_noise":
-        aux["freq_hz"] = float(np.exp(rng.uniform(np.log(20.0),
-                                                  np.log(12000.0))))
-    if kind == "delay":
-        aux["n_taps"] = int(rng.integers(1, 5))
-    if kind == "extreme_eq":
-        aux["sign"] = int(rng.choice([-1, 1]))
-        aux["q"] = float(rng.uniform(0.5, 5.0))
-        aux["freq_hz"] = float(np.exp(rng.uniform(np.log(100.0),
-                                                  np.log(8000.0))))
-    if kind in ("bandpass", "bandreject"):
-        aux["freq_hz"] = float(np.exp(rng.uniform(np.log(100.0),
-                                                  np.log(4000.0))))
-    if kind == "chorus":
-        aux["rate_hz"] = float(rng.uniform(0.5, 2.0))
-    if kind == "phaser":
-        aux["rate_hz"] = float(rng.uniform(0.2, 1.5))
-    if kind == "tremolo":
-        aux["rate_hz"] = float(rng.uniform(2.0, 8.0))
-    if kind == "reverb":
-        aux["rt60_s"] = float(rng.uniform(0.2, 1.5))
-        aux["predelay_ms"] = float(rng.uniform(0.0, 50.0))
-    if kind in ("griffin_lim", "phase_randomization", "phase_shuffle",
-                "spectrogram_convolution", "spectrogram_holes",
-                "spectrogram_noise"):
-        aux["window"] = int(rng.choice(STFT_WINDOW_CHOICES))
-    return aux
-
-
 def sample_spec(kind: str, rng: np.random.Generator,
                 strength=None) -> DegradationSpec:
     """Draw strength (unless given), aux params, and a kernel seed."""
     s = float(rng.uniform()) if strength is None else float(strength)
-    aux = _sample_aux(kind, rng)
+    aux = KINDS[kind].aux(rng)
     seed = int(rng.integers(0, 2 ** 31 - 1))
     return DegradationSpec(kind=kind, strength=s, aux_params=aux, seed=seed)
 

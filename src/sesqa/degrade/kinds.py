@@ -1,14 +1,20 @@
-"""Degradation kind registry: names, sampling probabilities, and the
-strength -> physical-parameter maps.
+"""Degradation kind registry: one row per kind in `KINDS`.
 
 Every kind takes a single strength in [0, 1] where 0 is the mildest
 perceptually-noticeable setting and 1 the strongest. dB and frequency /
 bitrate quantities interpolate log-linearly; everything else linearly.
-Extra randomized aspects (noise color, filter Q, LFO rates, ...) live in
-per-kind aux parameters sampled at chain time.
+Extra randomized aspects (noise color, filter Q, LFO rates, ...) are aux
+parameters sampled at chain time by the row's `aux` sampler.
+
+Row order and each sampler's draw order fix every generated manifest. Row
+order is the dt/ds target layout and the index order of the kind draw;
+a sampler's RNG draws decide every later draw in the quadruple, and the
+order of its dict keys decides the manifest's JSON bytes.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,140 +24,143 @@ class UnavailableDegradationError(RuntimeError):
     (e.g. codec transcoding without a configured transcoder)."""
 
 
-# name -> sampling probability. The raw probabilities do not sum to 1;
-# they are always renormalized over the currently available kinds.
-KIND_PROBS = {
-    "additive_noise": 0.29,
-    "colored_noise": 0.07,
-    "hum_noise": 0.035,
-    "tonal_noise": 0.011,
-    "resample": 0.011,
-    "mu_law": 0.011,
-    "clipping": 0.011,
-    "reverse": 0.05,
-    "insert_silence": 0.011,
-    "insert_noise": 0.011,
-    "insert_attenuation": 0.011,
-    "perturb_amplitude": 0.011,
-    "sample_duplicate": 0.011,
-    "delay": 0.035,
-    "extreme_eq": 0.006,
-    "bandpass": 0.006,
-    "bandreject": 0.006,
-    "highpass": 0.011,
-    "lowpass": 0.011,
-    "chorus": 0.011,
-    "overdrive": 0.011,
-    "phaser": 0.011,
-    "reverb": 0.035,
-    "tremolo": 0.011,
-    "griffin_lim": 0.023,
-    "phase_randomization": 0.011,
-    "phase_shuffle": 0.011,
-    "spectrogram_convolution": 0.011,
-    "spectrogram_holes": 0.011,
-    "spectrogram_noise": 0.011,
-    "transcode_mp3": 0.023,
-    "transcode_ac3": 0.035,
-    "transcode_eac3": 0.023,
-    "transcode_mp2": 0.023,
-    "transcode_wma": 0.023,
-    "transcode_ogg": 0.023,
-    "transcode_opus": 0.046,
-}
+STFT_WINDOW_CHOICES = (256, 512, 1024, 2048, 4096)
+PARTIAL_PROB = 0.25
 
-KIND_NAMES = tuple(KIND_PROBS)
 
-TRANSCODE_KINDS = tuple(k for k in KIND_NAMES if k.startswith("transcode_"))
-NATIVE_KINDS = tuple(k for k in KIND_NAMES if not k.startswith("transcode_"))
+def _none(_):
+    return {}
 
-TRANSCODE_CODECS = {
-    "transcode_mp3": "libmp3lame",
-    "transcode_ac3": "ac3",
-    "transcode_eac3": "eac3",
-    "transcode_mp2": "mp2",
-    "transcode_wma": "wmav2",
-    "transcode_ogg": "libvorbis",
-    "transcode_opus": "libopus",
-}
 
-# (mild, strong) bitrate endpoints in kbps; log-linear in strength
-TRANSCODE_BITRATES = {
-    "transcode_mp3": (96.0, 2.0),
-    "transcode_ac3": (96.0, 2.0),
-    "transcode_eac3": (96.0, 16.0),
-    "transcode_mp2": (96.0, 32.0),
-    "transcode_wma": (128.0, 32.0),
-    "transcode_ogg": (64.0, 32.0),
-    "transcode_opus": (64.0, 2.0),
-}
+class Kind(NamedTuple):
+    # raw sampling probability; the raw values do not sum to 1 and are
+    # always renormalized over the currently available kinds
+    prob: float
+    params: Callable[[float], dict]                  # strength -> params
+    aux: Callable[[np.random.Generator], dict] = _none
 
 
 def _loglin(mild: float, strong: float, s: float) -> float:
     return float(mild * (strong / mild) ** s)
 
 
+def _lin(key, mild, slope):
+    return lambda s: {key: mild + slope * s}
+
+
+def _log(key, mild, strong):
+    return lambda s: {key: _loglin(mild, strong, s)}
+
+
+def _sections(s):
+    return {"n_sections": int(round(1.0 + 9.0 * s))}
+
+
+def _transcode(prob, codec, mild, strong):
+    # (mild, strong) bitrate endpoints in kbps
+    return Kind(prob, lambda s: {"codec": codec,
+                                 "bitrate_kbps": _loglin(mild, strong, s)})
+
+
+def _partial(rng):
+    return bool(rng.random() < PARTIAL_PROB)
+
+
+def _waveform(rng):
+    return str(rng.choice(["sine", "sawtooth", "square"]))
+
+
+def _log_uniform(rng, lo, hi):
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def _band(rng):
+    return {"freq_hz": _log_uniform(rng, 100.0, 4000.0)}
+
+
+def _lfo(lo, hi):
+    return lambda rng: {"rate_hz": float(rng.uniform(lo, hi))}
+
+
+def _window(rng):
+    return {"window": int(rng.choice(STFT_WINDOW_CHOICES))}
+
+
+KINDS = {
+    "additive_noise": Kind(0.29, _lin("snr_db", 35.0, -50.0),
+                           lambda rng: {"partial": _partial(rng)}),
+    "colored_noise": Kind(0.07, _lin("snr_db", 45.0, -60.0), lambda rng: {
+        "partial": _partial(rng),
+        "exponent": float(rng.uniform(0.0, 0.7))}),
+    "hum_noise": Kind(0.035, _lin("snr_db", 35.0, -50.0), lambda rng: {
+        "partial": _partial(rng), "waveform": _waveform(rng),
+        "freq_hz": (float(rng.choice([50.0, 60.0]))
+                    + float(rng.uniform(-2.0, 2.0)))}),
+    "tonal_noise": Kind(0.011, _lin("snr_db", 35.0, -50.0), lambda rng: {
+        "waveform": _waveform(rng),
+        "freq_hz": _log_uniform(rng, 20.0, 12000.0)}),
+    "resample": Kind(0.011, _log("target_rate", 32000.0, 2000.0)),
+    "mu_law": Kind(0.011, lambda s: {"bits": int(round(10.0 - 8.0 * s))}),
+    "clipping": Kind(0.011, _lin("fraction", 0.005, 0.985)),
+    "reverse": Kind(0.05, _none),
+    "insert_silence": Kind(0.011, _sections),
+    "insert_noise": Kind(0.011, _sections),
+    "insert_attenuation": Kind(0.011, _sections),
+    "perturb_amplitude": Kind(0.011, _sections),
+    "sample_duplicate": Kind(0.011, _sections),
+    "delay": Kind(0.035, _lin("gain", 0.15, 0.85),
+                  lambda rng: {"n_taps": int(rng.integers(1, 5))}),
+    "extreme_eq": Kind(0.006, _lin("gain_db", 20.0, 20.0), lambda rng: {
+        "sign": int(rng.choice([-1, 1])), "q": float(rng.uniform(0.5, 5.0)),
+        "freq_hz": _log_uniform(rng, 100.0, 8000.0)}),
+    "bandpass": Kind(0.006, _lin("q", 0.5, 9.5), _band),
+    "bandreject": Kind(0.006, _lin("q", 10.0, -9.5), _band),
+    "highpass": Kind(0.011, _log("cutoff_hz", 150.0, 4000.0)),
+    "lowpass": Kind(0.011, _log("cutoff_hz", 8000.0, 250.0)),
+    "chorus": Kind(0.011, _lin("gain", 0.15, 0.85), _lfo(0.5, 2.0)),
+    "overdrive": Kind(0.011, _lin("gain_db", 12.0, 38.0)),
+    "phaser": Kind(0.011, _lin("gain", 0.1, 0.9), _lfo(0.2, 1.5)),
+    "reverb": Kind(0.035, _lin("snr_db", 10.0, -15.0), lambda rng: {
+        "rt60_s": float(rng.uniform(0.2, 1.5)),
+        "predelay_ms": float(rng.uniform(0.0, 50.0))}),
+    "tremolo": Kind(0.011, _lin("depth", 0.3, 0.7), _lfo(2.0, 8.0)),
+    "griffin_lim": Kind(0.023, _none, _window),
+    "phase_randomization": Kind(0.011, _lin("affected_fraction", 0.25, 0.75),
+                                _window),
+    "phase_shuffle": Kind(0.011, _lin("affected_fraction", 0.25, 0.75),
+                          _window),
+    "spectrogram_convolution": Kind(0.011, _lin("kernel_sigma", 0.5, 2.5),
+                                    _window),
+    "spectrogram_holes": Kind(0.011, _lin("dropout", 0.15, 0.83), _window),
+    "spectrogram_noise": Kind(0.011, _lin("dropout", 0.15, 0.83), _window),
+    "transcode_mp3": _transcode(0.023, "libmp3lame", 96.0, 2.0),
+    "transcode_ac3": _transcode(0.035, "ac3", 96.0, 2.0),
+    "transcode_eac3": _transcode(0.023, "eac3", 96.0, 16.0),
+    "transcode_mp2": _transcode(0.023, "mp2", 96.0, 32.0),
+    "transcode_wma": _transcode(0.023, "wmav2", 128.0, 32.0),
+    "transcode_ogg": _transcode(0.023, "libvorbis", 64.0, 32.0),
+    "transcode_opus": _transcode(0.046, "libopus", 64.0, 2.0),
+}
+
+KIND_NAMES = tuple(KINDS)
+
+TRANSCODE_KINDS = tuple(k for k in KIND_NAMES if k.startswith("transcode_"))
+NATIVE_KINDS = tuple(k for k in KIND_NAMES if not k.startswith("transcode_"))
+
+
 def strength_to_params(kind: str, strength: float) -> dict:
     """Map a strength in [0, 1] onto the kind's physical parameter(s)."""
     if not 0.0 <= strength <= 1.0:
         raise ValueError("strength must be in [0, 1], got %r" % strength)
-    s = float(strength)
-    if kind == "additive_noise" or kind == "hum_noise" or kind == "tonal_noise":
-        return {"snr_db": 35.0 - 50.0 * s}
-    if kind == "colored_noise":
-        return {"snr_db": 45.0 - 60.0 * s}
-    if kind == "resample":
-        return {"target_rate": _loglin(32000.0, 2000.0, s)}
-    if kind == "mu_law":
-        return {"bits": int(round(10.0 - 8.0 * s))}
-    if kind == "clipping":
-        return {"fraction": 0.005 + 0.985 * s}
-    if kind == "reverse":
-        return {}
-    if kind in ("insert_silence", "insert_noise", "insert_attenuation",
-                "perturb_amplitude", "sample_duplicate"):
-        return {"n_sections": int(round(1.0 + 9.0 * s))}
-    if kind == "delay":
-        return {"gain": 0.15 + 0.85 * s}
-    if kind == "extreme_eq":
-        return {"gain_db": 20.0 + 20.0 * s}
-    if kind == "bandpass":
-        return {"q": 0.5 + 9.5 * s}
-    if kind == "bandreject":
-        return {"q": 10.0 - 9.5 * s}
-    if kind == "highpass":
-        return {"cutoff_hz": _loglin(150.0, 4000.0, s)}
-    if kind == "lowpass":
-        return {"cutoff_hz": _loglin(8000.0, 250.0, s)}
-    if kind == "chorus":
-        return {"gain": 0.15 + 0.85 * s}
-    if kind == "overdrive":
-        return {"gain_db": 12.0 + 38.0 * s}
-    if kind == "phaser":
-        return {"gain": 0.1 + 0.9 * s}
-    if kind == "reverb":
-        return {"snr_db": 10.0 - 15.0 * s}
-    if kind == "tremolo":
-        return {"depth": 0.3 + 0.7 * s}
-    if kind == "griffin_lim":
-        return {}
-    if kind in ("phase_randomization", "phase_shuffle"):
-        return {"affected_fraction": 0.25 + 0.75 * s}
-    if kind == "spectrogram_convolution":
-        return {"kernel_sigma": 0.5 + 2.5 * s}
-    if kind in ("spectrogram_holes", "spectrogram_noise"):
-        return {"dropout": 0.15 + 0.83 * s}
-    if kind in TRANSCODE_KINDS:
-        mild, strong = TRANSCODE_BITRATES[kind]
-        return {"codec": TRANSCODE_CODECS[kind],
-                "bitrate_kbps": _loglin(mild, strong, s)}
-    raise KeyError("unknown degradation kind %r" % kind)
+    if kind not in KINDS:
+        raise KeyError("unknown degradation kind %r" % kind)
+    return KINDS[kind].params(float(strength))
 
 
 def kind_probabilities(available=None) -> tuple:
     """(names, probs) renormalized over `available` kinds (default: all)."""
     names = tuple(available) if available is not None else KIND_NAMES
-    p = np.array([KIND_PROBS[n] for n in names], dtype=np.float64)
+    p = np.array([KINDS[n].prob for n in names], dtype=np.float64)
     if not len(names):
         raise ValueError("no degradation kinds available")
     return names, p / p.sum()

@@ -9,7 +9,7 @@ j (so quality(i) >= quality(j) by construction). A random delay of up to
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .kinds import KIND_NAMES, NATIVE_KINDS
 PARENT_SECONDS = 1.1
 CUT_SECONDS = 1.0
 MAX_DELAY_SECONDS = 0.1
-DEFAULT_RETRIES = 100
+PARENT_RETRIES = 100
 
 # degradation-type target layout: one coordinate per kind plus a final
 # "clean" coordinate that is set iff the chain is empty
@@ -71,11 +71,10 @@ class CleanPool:
     def _load(self, item) -> AudioFrame:
         return item if isinstance(item, AudioFrame) else read_wav(item)
 
-    def sample_parent(self, rng: np.random.Generator,
-                      retries=DEFAULT_RETRIES) -> AudioFrame:
+    def sample_parent(self, rng: np.random.Generator) -> AudioFrame:
         """A usable 1.1 s peak-normalized parent frame."""
         n_parent = int(PARENT_SECONDS * CANONICAL_RATE)
-        for _ in range(retries):
+        for _ in range(PARENT_RETRIES):
             ds = self.names[int(rng.integers(len(self.names)))]
             files = self.datasets[ds]
             frame = self._load(files[int(rng.integers(len(files)))])
@@ -89,7 +88,7 @@ class CleanPool:
                 continue
             return peak_normalize(cut)
         raise PoolExhaustedError(
-            "no usable parent frame after %d retries" % retries)
+            "no usable parent frame after %d retries" % PARENT_RETRIES)
 
 
 def chain_targets(chain) -> tuple:
@@ -115,21 +114,25 @@ class Quadruple:
     chain_i: list
     chain_j: list
     delay_ms: float
-    dt_targets_i: np.ndarray
-    dt_targets_j: np.ndarray
-    ds_targets_i: np.ndarray
-    ds_targets_j: np.ndarray
     parent_id: str = ""
+    # dt/ds targets of each chain, computed from the chains
+    dt_targets_i: np.ndarray = field(init=False)
+    dt_targets_j: np.ndarray = field(init=False)
+    ds_targets_i: np.ndarray = field(init=False)
+    ds_targets_j: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.dt_targets_i, self.ds_targets_i = chain_targets(self.chain_i)
+        self.dt_targets_j, self.ds_targets_j = chain_targets(self.chain_j)
 
     def frames(self) -> tuple:
         return (self.x_ik, self.x_il, self.x_jk, self.x_jl)
 
 
 def generate_quadruple(pool: CleanPool, rng: np.random.Generator,
-                       noise_pool=None, transcoder_cmd=None,
-                       retries=DEFAULT_RETRIES) -> Quadruple:
+                       noise_pool=None, transcoder_cmd=None) -> Quadruple:
     available = (KIND_NAMES if transcoder_cmd is not None else NATIVE_KINDS)
-    parent = pool.sample_parent(rng, retries=retries)
+    parent = pool.sample_parent(rng)
 
     chain_i = sample_chain("first", rng, available=available)
     chain_extra = sample_chain("second", rng, available=available)
@@ -146,22 +149,17 @@ def generate_quadruple(pool: CleanPool, rng: np.random.Generator,
 
     cut0 = FrameSlice(0, n_cut)
     cutd = FrameSlice(d, n_cut)
-    dt_i, ds_i = chain_targets(chain_i)
-    dt_j, ds_j = chain_targets(chain_j)
     return Quadruple(
         x_ik=extract_slice(x_i, cut0), x_il=extract_slice(x_i, cutd),
         x_jk=extract_slice(x_j, cut0), x_jl=extract_slice(x_j, cutd),
         chain_i=chain_i, chain_j=chain_j,
-        delay_ms=d * 1000.0 / CANONICAL_RATE,
-        dt_targets_i=dt_i, dt_targets_j=dt_j,
-        ds_targets_i=ds_i, ds_targets_j=ds_j,
-        parent_id=parent.source_id)
+        delay_ms=d * 1000.0 / CANONICAL_RATE, parent_id=parent.source_id)
 
 
 def iter_quadruples(pool: CleanPool, count: int, master_seed: int,
                     noise_pool=None, transcoder_cmd=None):
-    """Yield (index, Quadruple) with per-item derived seeds, so output is
-    identical regardless of iteration order or parallel sharding."""
+    """Yield (index, Quadruple) with per-item derived seeds, so each
+    item is identical regardless of iteration order."""
     for i in range(count):
         rng = np.random.default_rng([master_seed, i])
         yield i, generate_quadruple(pool, rng, noise_pool=noise_pool,
@@ -170,8 +168,7 @@ def iter_quadruples(pool: CleanPool, count: int, master_seed: int,
 
 # ------------------------------------------------------------- manifests
 
-def write_quadruple_manifest(quadruples, wav_dir, manifest_path,
-                             bit_depth="32f") -> None:
+def write_quadruple_manifest(quadruples, wav_dir, manifest_path) -> None:
     """Write WAVs and a JSON-lines manifest for (id, Quadruple) pairs."""
     wav_dir = Path(wav_dir)
     wav_dir.mkdir(parents=True, exist_ok=True)
@@ -183,7 +180,7 @@ def write_quadruple_manifest(quadruples, wav_dir, manifest_path,
                    "chain_j": [s.to_dict() for s in q.chain_j]}
             for tag, frame in zip(("ik", "il", "jk", "jl"), q.frames()):
                 path = wav_dir / ("q%06d_%s.wav" % (qid, tag))
-                write_wav(frame, path, bit_depth=bit_depth)
+                write_wav(frame, path)
                 rec["wav_" + tag] = str(path)
             f.write(json.dumps(rec) + "\n")
 
@@ -215,13 +212,8 @@ def load_quadruple(rec) -> Quadruple:
     """Materialize a manifest record of 48 kHz WAVs into a Quadruple."""
     frames = {tag: read_wav_48k(rec["wav_" + tag])
               for tag in ("ik", "il", "jk", "jl")}
-    dt_i, ds_i = chain_targets(rec["chain_i"])
-    dt_j, ds_j = chain_targets(rec["chain_j"])
     return Quadruple(
         x_ik=frames["ik"], x_il=frames["il"],
         x_jk=frames["jk"], x_jl=frames["jl"],
         chain_i=rec["chain_i"], chain_j=rec["chain_j"],
-        delay_ms=float(rec["delay_ms"]),
-        dt_targets_i=dt_i, dt_targets_j=dt_j,
-        ds_targets_i=ds_i, ds_targets_j=ds_j,
-        parent_id=rec.get("parent_id", ""))
+        delay_ms=float(rec["delay_ms"]), parent_id=rec.get("parent_id", ""))

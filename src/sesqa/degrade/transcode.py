@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from ..audio import AudioFrame, read_wav, write_wav
-from .chains import DegradationSpec
 from .kinds import UnavailableDegradationError
 
 PLACEHOLDERS = ("{in}", "{out}", "{codec}", "{bitrate}")
@@ -35,15 +34,15 @@ def validate_template(template: str) -> None:
                          % ", ".join(missing))
 
 
-def transcode(frame: AudioFrame, spec: DegradationSpec,
-              template: str) -> AudioFrame:
-    """Round-trip `frame` through the configured external transcoder."""
+def transcode(frame: AudioFrame, spec, template: str) -> np.ndarray:
+    """Round-trip `frame` through the configured external transcoder;
+    returns the decoded samples, which may differ in length."""
     validate_template(template)
     aux = spec.aux_params
     with tempfile.TemporaryDirectory(prefix="sesqa_tc_") as tmp:
         src = Path(tmp) / "in.wav"
         dst = Path(tmp) / "out.wav"
-        write_wav(frame, src, bit_depth="32f")
+        write_wav(frame, src)
         cmd = (template
                .replace("{in}", str(src))
                .replace("{out}", str(dst))
@@ -59,11 +58,4 @@ def transcode(frame: AudioFrame, spec: DegradationSpec,
         if not dst.exists():
             raise UnavailableDegradationError(
                 "transcoder produced no output for %s" % spec.kind)
-        out = read_wav(dst)
-    y = out.samples
-    n = len(frame.samples)
-    if len(y) >= n:
-        y = y[:n]
-    else:
-        y = np.pad(y, (0, n - len(y)))
-    return frame.with_samples(y)
+        return read_wav(dst).samples

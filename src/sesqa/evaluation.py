@@ -17,6 +17,7 @@ from .degrade.kernels import apply_degradation
 from .objectives import DEFAULT_BETA, consistency_terms, loss_cons
 
 SWEEP_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)   # DS1..DS5
+SWEEP_SEEDS = 5                          # degraded clips per strength
 
 
 class UndefinedCorrelationError(ValueError):
@@ -152,22 +153,19 @@ def latent_distance_stats(model, quads, return_raw=False) -> dict:
     return out
 
 
-def strength_sweep(model, clean_frame, kind, grid=SWEEP_GRID, n_seeds=5,
-                   seed=0, noise_pool=None, transcoder_cmd=None) -> dict:
-    """Mean predicted score at each degradation strength (DS1..DS5),
-    plus the undegraded reference score."""
+def strength_sweep(model, clean_frame, kind, seed=0) -> dict:
+    """Mean predicted score of a native kind at each degradation strength
+    (DS1..DS5), plus the undegraded reference score."""
     clips = [clean_frame.samples]
-    for strength in grid:
-        for rep in range(n_seeds):
+    for strength in SWEEP_GRID:
+        for rep in range(SWEEP_SEEDS):
             rng = np.random.default_rng([seed, rep])
             spec = sample_spec(kind, rng, strength=strength)
-            clips.append(apply_degradation(clean_frame, spec,
-                                           noise_pool=noise_pool,
-                                           transcoder_cmd=transcoder_cmd
-                                           ).samples)
+            clips.append(apply_degradation(clean_frame, spec).samples)
     _, s = model.infer(clips)
-    means = s[1:].astype(np.float64).reshape(len(grid), n_seeds).mean(axis=1)
-    return {"strengths": list(grid), "mean_scores": [float(m) for m in means],
+    means = s[1:].astype(np.float64).reshape(len(SWEEP_GRID), -1).mean(1)
+    return {"strengths": list(SWEEP_GRID),
+            "mean_scores": [float(m) for m in means],
             "clean_score": float(s[0])}
 
 

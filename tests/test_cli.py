@@ -295,6 +295,52 @@ def test_other_rates_rejected(checkpoint, tmp_path, capsys):
                "--clean", str(low), "--kind", "additive_noise"])
     assert rc == EXIT_USAGE
 
+    pool, noise = tmp_path / "pool", tmp_path / "noise"
+    pool.mkdir()
+    noise.mkdir()
+    write_wav(speechlike(seed=82, seconds=1.3), pool / "p.wav")
+    write_wav(speechlike(seed=83, seconds=1.0, rate=16000), noise / "n.wav")
+    capsys.readouterr()
+    rc = main(["generate", "--pool", str(pool), "--noise-pool", str(noise),
+               "--out", str(tmp_path / "q"), "--manifest",
+               str(tmp_path / "q.jsonl"), "--n", "2"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: %s: sample rate 16000 Hz" % (noise / "n.wav"))
+
+
+def test_sweep_kind_exit_code(checkpoint, tmp_path, capsys):
+    clean = tmp_path / "clean.wav"
+    write_wav(speechlike(seed=84, seconds=1.0), clean)
+    for kind in ("bogus", "transcode_mp3"):
+        rc = main(["analyze", "--checkpoint", str(checkpoint), "--mode",
+                   "sweep", "--clean", str(clean), "--kind", kind])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: sweep mode needs --kind"), kind
+
+
+def _generate_40(workdir, tmp_path, template):
+    return main(["generate", "--pool", str(workdir["pool"]),
+                 "--out", str(tmp_path / "q"), "--manifest",
+                 str(tmp_path / "q.jsonl"), "--n", "40", "--seed", "1",
+                 "--transcoder-cmd", template])
+
+
+def test_bad_transcoder_template_exit_code(workdir, tmp_path, capsys):
+    # fails before anything is written, drawn transcode kind or not
+    assert _generate_40(workdir, tmp_path, "cp {in}") == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: transcoder_cmd is missing placeholders: {out}")
+    assert not (tmp_path / "q.jsonl").exists()
+
+
+def test_failing_transcoder_exit_code(workdir, tmp_path, capsys):
+    rc = _generate_40(workdir, tmp_path, "false {in} {out} {codec} {bitrate}")
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: external transcoder failed for transcode_")
+
 
 def test_other_rate_quadruples_rejected(workdir, checkpoint, tmp_path,
                                         capsys):

@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy import signal
 
-from sesqa.audio import AudioFrame
+from sesqa.audio import AudioFormatError, AudioFrame
 from sesqa.degrade import (CleanPool, DegradationSpec, apply_chain,
                            apply_degradation, generate_quadruple,
                            sample_chain, sample_spec)
@@ -44,20 +47,29 @@ def recover_delay(q, probe_len=20000):
 # ------------------------------------------------------- SNR fidelity
 
 @pytest.mark.parametrize("kind", ["additive_noise", "colored_noise",
-                                  "hum_noise"])
+                                  "hum_noise", "additive_noise_pool"])
 def test_noise_snr_accuracy(kind):
     frame = speechlike(seed=11, seconds=1.0)
+    noise_pool = None
+    if kind == "additive_noise_pool":
+        # one item shorter than the frame (tiled), one longer (cut)
+        kind, noise_pool = "additive_noise", [
+            AudioFrame(np.random.default_rng(2).normal(size=n)
+                       .astype(np.float32), RATE) for n in (20000, 90000)]
     rng = np.random.default_rng(0)
     for draw in range(100):
         s = float(rng.uniform())
         spec = DegradationSpec(kind=kind, strength=s,
                                aux_params={"partial": False},
                                seed=int(rng.integers(2 ** 31)))
-        out = apply_degradation(frame, spec)
+        out = apply_degradation(frame, spec, noise_pool=noise_pool)
         want = spec.aux_params["snr_db"]
         got = _achieved_snr(frame.samples.astype(np.float64),
                             out.samples.astype(np.float64))
         assert abs(got - want) <= 0.1, (kind, draw, want, got)
+        if noise_pool is not None:
+            fallback = apply_degradation(frame, spec)
+            assert not np.array_equal(out.samples, fallback.samples)
 
 
 # ---------------------------------------------------------- clipping
@@ -113,6 +125,14 @@ def test_kernel_preserves_length_and_sanity(kind):
             assert not np.array_equal(out.samples, frame.samples), (kind, s)
 
 
+def test_degradation_rejects_other_rates():
+    low = speechlike(seed=17, seconds=0.5, rate=16000)
+    for kind in ("clipping", "transcode_mp3"):
+        spec = DegradationSpec(kind=kind, strength=0.5)
+        with pytest.raises(AudioFormatError):
+            apply_degradation(low, spec, transcoder_cmd=FAKE_TRANSCODER)
+
+
 def test_kernel_determinism():
     frame = speechlike(seed=16, seconds=0.7)
     spec = sample_spec("additive_noise", np.random.default_rng(3))
@@ -152,6 +172,72 @@ def test_kind_probabilities_normalized():
     assert np.isclose(sub_probs.sum(), 1.0)
     with pytest.raises(ValueError):
         kind_probabilities(())
+
+
+# ------------------------------------------------- generator RNG order
+
+# SHA-256 prefixes of the spec JSON the generator draws, so that a change
+# to the kind table, a sampler's draw order or its key order shows here
+# before it changes every manifest. Four specs per kind, from
+# default_rng([i, 0]) for i in 0..3.
+SPEC_DIGESTS = {
+    "additive_noise": "67b7d2b45f7f7191",
+    "colored_noise": "5bdf963941c1d902",
+    "hum_noise": "7f245bd0881f8af2",
+    "tonal_noise": "f2830ebf4836c034",
+    "resample": "04ef52248e128534",
+    "mu_law": "5b58cd7d16ea0bbe",
+    "clipping": "b92100bb6b88f8ae",
+    "reverse": "4abb10d55d5f5c89",
+    "insert_silence": "7a82acd0fbbda295",
+    "insert_noise": "39463f9b01623198",
+    "insert_attenuation": "c717a52a4c9e02f5",
+    "perturb_amplitude": "1979dc64e6cc785d",
+    "sample_duplicate": "3a0e22a4af26216f",
+    "delay": "6b479960bb1909bc",
+    "extreme_eq": "bc94e90df39b624f",
+    "bandpass": "c3da31992f1c4116",
+    "bandreject": "7ba48bed96294bb0",
+    "highpass": "d6f57bfc6afc9583",
+    "lowpass": "773f6bb04c0ac092",
+    "chorus": "bc389d350016bbb2",
+    "overdrive": "43b2087845be4a16",
+    "phaser": "8e64913d737ac2a4",
+    "reverb": "fedfc053f20a98cb",
+    "tremolo": "2204438c8c230ad4",
+    "griffin_lim": "667feb5db3144829",
+    "phase_randomization": "0055b55921ecaa27",
+    "phase_shuffle": "7d20d81c8c0a0247",
+    "spectrogram_convolution": "a27378fce9d0879c",
+    "spectrogram_holes": "e088d144d8f342ad",
+    "spectrogram_noise": "43fee3b1fec80818",
+    "transcode_mp3": "06b2c33a42997d83",
+    "transcode_ac3": "af07aaab482f06aa",
+    "transcode_eac3": "045c79027c69b21c",
+    "transcode_mp2": "ad0c77d2f9c91a71",
+    "transcode_wma": "0b8f6a8f3448fe5c",
+    "transcode_ogg": "002b9b4d3bb1d9cc",
+    "transcode_opus": "8679738d6fbe1038",
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+def test_generator_rng_order_golden():
+    assert tuple(SPEC_DIGESTS) == KIND_NAMES
+    got = {kind: _digest([sample_spec(kind, np.random.default_rng([i, 0]))
+                          .to_dict() for i in range(4)])
+           for kind in KIND_NAMES}
+    assert got == SPEC_DIGESTS
+    # 8 chains per stage, over all kinds and over the native kinds
+    rng = np.random.default_rng(2024)
+    chains = [sample_chain(stage, rng, available=available)
+              for available in (None, NATIVE_KINDS)
+              for stage in ("first", "second") for _ in range(8)]
+    assert _digest([[s.to_dict() for s in c] for c in chains]) \
+        == "4a375fdadfe67f4e"
 
 
 # ---------------------------------------------------------- chains
