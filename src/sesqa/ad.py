@@ -250,29 +250,26 @@ def absolute(a):
     return _make(np.abs(a.data), (a,), backward)
 
 
-def tensor_sum(a, axis=None, keepdims=False):
+def tensor_sum(a, axis=None):
     a = as_tensor(a)
 
     def backward(g):
         if axis is None:
             _accum(a, np.broadcast_to(g, a.data.shape))
         else:
-            ge = np.asarray(g)
-            if not keepdims:
-                ge = np.expand_dims(ge, axis)
-            _accum(a, np.broadcast_to(ge, a.data.shape))
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.sum(axis=axis), (a,), backward)
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a, axis=None):
     a = as_tensor(a)
     if axis is None:
         n = a.data.size
     else:
         axes = (axis,) if isinstance(axis, int) else axis
         n = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return mul_const(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul_const(tensor_sum(a, axis=axis), 1.0 / n)
 
 
 def clamp_max(a, hi: float):
@@ -341,14 +338,11 @@ def l1_loss(pred, target):
     return mean(absolute(pred - as_tensor(target)))
 
 
-def bce_loss(p, target, eps=1e-7, reduce="mean"):
-    """Binary cross-entropy on probabilities; inputs clamped to (eps, 1-eps)."""
-    p = clip(as_tensor(p), eps, 1.0 - eps)
+def bce_loss(p, target, reduce="mean"):
+    """Binary cross-entropy on probabilities clamped to (1e-7, 1 - 1e-7);
+    the mean, or with reduce="none" the elementwise loss."""
+    p = clip(as_tensor(p), 1e-7, 1.0 - 1e-7)
     t = as_tensor(target)
     one_minus_t = Tensor(1.0 - t.data)
     loss = -(t * log(p) + one_minus_t * log(add_const(mul_const(p, -1.0), 1.0)))
-    if reduce == "mean":
-        return mean(loss)
-    if reduce == "sum":
-        return tensor_sum(loss)
-    return loss
+    return mean(loss) if reduce == "mean" else loss

@@ -51,13 +51,8 @@ class AudioFrame:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-    def with_samples(self, samples, source_id=None) -> "AudioFrame":
-        return AudioFrame(samples, self.sample_rate,
-                          self.source_id if source_id is None else source_id)
+    def with_samples(self, samples) -> "AudioFrame":
+        return AudioFrame(samples, self.sample_rate, self.source_id)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Command-line surface for the pipeline.
 
 Subcommands: generate (quadruple synthesis), train, eval, score, analyze.
-Configuration precedence is config file < SESQA_* environment variables <
-command-line flags. Exit codes: 0 success, 2 usage/input error,
-3 numerical failure, 4 checkpoint incompatibility.
+The SETTINGS may also come from a config file or SESQA_* variables, with
+precedence file < environment < flags. Exit codes: 0 success, 2 usage or
+input error, 3 numerical failure, 4 checkpoint incompatibility.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import evaluation
-from .audio import AudioFormatError, DegenerateInputError, read_wav_48k
+from .audio import read_wav_48k
 from .degrade import (CleanPool, PoolExhaustedError, FIRST_STAGE,
                       SECOND_STAGE, UnavailableDegradationError,
                       read_quadruple_manifest, sample_chain,
@@ -24,7 +24,6 @@ from .degrade import (CleanPool, PoolExhaustedError, FIRST_STAGE,
 from .degrade.kinds import KIND_NAMES, NATIVE_KINDS
 from .degrade.quadruples import iter_quadruples, load_quadruple
 from .degrade.transcode import validate_template
-from .manifest import ManifestError
 from .measures import MEASURE_NAMES, compute_measure_vector
 from .model import CheckpointError, Model, ModelConfig, load_checkpoint
 from .objectives import check_loss_mask
@@ -80,21 +79,31 @@ def _parse_loss_mask(text):
                            if t.strip())
 
 
+# The settings that a config file or SESQA_<NAME> may also give, with their
+# casts; each is the `dest` of the command's flag of the same name.
+SETTINGS = {
+    "generate": {"n": int, "seed": int, "transcoder_cmd": str},
+    "train": {"seed": int, "epochs": int, "batch_size": int, "base_lr": float,
+              "channels": float, "loss_mask": _parse_loss_mask},
+}
+
+
+def _check_new_file(path) -> None:
+    """Fail now, not after the work whose result `path` would hold, when
+    it is a directory or lies in a missing one."""
+    if os.path.isdir(path):
+        raise UsageError("%s is a directory" % path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError("directory of %s not found" % path)
+
+
 # ----------------------------------------------------------- subcommands
 
-def cmd_generate(args, file_config) -> int:
-    n = resolve_option("n", args.n, file_config, default=0, cast=int)
-    seed = resolve_option("seed", args.seed, file_config, default=0, cast=int)
-    tc = resolve_option("transcoder_cmd", args.transcoder_cmd, file_config)
-    if tc is not None:
-        try:
-            validate_template(tc)
-        except ValueError as e:
-            raise UsageError(str(e)) from e
-    if n <= 0:
+def cmd_generate(args) -> int:
+    if args.transcoder_cmd is not None:
+        validate_template(args.transcoder_cmd)
+    if (args.n or 0) <= 0:
         raise UsageError("--n must be a positive integer")
-    if not args.pool or not os.path.isdir(args.pool):
-        raise UsageError("clean pool directory not found: %r" % args.pool)
     pool = CleanPool.from_directory(args.pool)
     noise_pool = None
     if args.noise_pool:
@@ -103,15 +112,16 @@ def cmd_generate(args, file_config) -> int:
                       if p.endswith(".wav")]
 
     if args.check:
-        return _generate_check(seed, tc)
+        return _generate_check(args.seed or 0, args.transcoder_cmd)
 
+    _check_new_file(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     write_quadruple_manifest(
-        iter_quadruples(pool, n, seed, noise_pool=noise_pool,
-                        transcoder_cmd=tc),
+        iter_quadruples(pool, args.n, args.seed or 0, noise_pool=noise_pool,
+                        transcoder_cmd=args.transcoder_cmd),
         args.out, args.manifest)
     print("wrote %d quadruples to %s (manifest %s)"
-          % (n, args.out, args.manifest))
+          % (args.n, args.out, args.manifest))
     return EXIT_OK
 
 
@@ -144,29 +154,20 @@ def _emit(text, path) -> None:
 
 
 def _load_quads(manifest_path):
-    if not manifest_path or not os.path.exists(manifest_path):
-        raise UsageError("quadruple manifest not found: %r" % manifest_path)
     return [load_quadruple(rec) for rec in
             read_quadruple_manifest(manifest_path)]
 
 
-def cmd_train(args, file_config) -> int:
-    defaults = TrainConfig()
-    seed = resolve_option("seed", args.seed, file_config,
-                          default=defaults.seed, cast=int)
-    epochs = resolve_option("epochs", args.epochs, file_config,
-                            default=defaults.epochs, cast=int)
-    batch = resolve_option("batch_size", args.batch_size, file_config,
-                           default=defaults.batch_size, cast=int)
-    if batch < 1:
-        raise UsageError("batch size must be at least 1, got %d" % batch)
-    lr = resolve_option("base_lr", args.lr, file_config,
-                        default=defaults.base_lr, cast=float)
-    mult = resolve_option("channels", args.channels, file_config,
-                          default=ModelConfig().channel_mult, cast=float)
-    mask = resolve_option("loss_mask", args.loss_mask, file_config,
-                          default=",".join(defaults.loss_mask),
-                          cast=_parse_loss_mask)
+def cmd_train(args) -> int:
+    given = {k: getattr(args, k) for k in SETTINGS["train"]
+             if getattr(args, k) is not None}
+    mult = given.pop("channels", ModelConfig.channel_mult)
+    cfg = TrainConfig(**given)
+    if cfg.batch_size < 1:
+        raise UsageError("batch size must be at least 1, got %d"
+                         % cfg.batch_size)
+    for path in filter(None, (args.out, args.log)):
+        _check_new_file(path)
 
     quads = _load_quads(args.quadruples)
     mos_items = jnd_items = None
@@ -178,15 +179,13 @@ def cmd_train(args, file_config) -> int:
     measure_lookup = None
     measure_names = ()
     if args.compute_measures:
-        measure_names = tuple(n for n in MEASURE_NAMES)
+        measure_names = MEASURE_NAMES
         measure_lookup = {
             i: compute_measure_vector(q.x_ik.samples, q.x_jk.samples)
             for i, q in enumerate(quads)}
 
     model = Model(ModelConfig(channel_mult=mult,
-                              measure_names=measure_names, seed=seed))
-    cfg = TrainConfig(epochs=epochs, base_lr=lr, batch_size=batch,
-                      loss_mask=mask, seed=seed)
+                              measure_names=measure_names, seed=cfg.seed))
     train(model, cfg, quads, mos_items=mos_items, jnd_items=jnd_items,
           measure_lookup=measure_lookup, log_path=args.log,
           checkpoint_path=args.out)
@@ -194,27 +193,18 @@ def cmd_train(args, file_config) -> int:
     return EXIT_OK
 
 
-def _score_quads(model, quads, rng=None):
-    """(s_ik, s_il, s_jk, s_jl) arrays; random scores when rng given."""
-    if rng is not None:
-        s = rng.uniform(1.0, 5.0, size=(len(quads), 4))
-        return s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    _, s = model.infer([f.samples for q in quads for f in q.frames()])
-    s = s.reshape(-1, 4)
-    return s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-
-
-def cmd_eval(args, file_config) -> int:
-    model = None
-    rng = np.random.default_rng(args.seed or 0) if args.random_baseline \
-        else None
-    if not args.random_baseline:
+def cmd_eval(args) -> int:
+    if args.random_baseline:   # one draw from U(1, 5) per clip
+        rng = np.random.default_rng(args.seed or 0)
+        score = lambda clips: rng.uniform(1.0, 5.0, size=len(clips))
+    else:
         model = load_checkpoint(args.checkpoint)
-
+        score = lambda clips: model.infer(clips)[1]
     report = {}
     if args.quadruples:
         quads = _load_quads(args.quadruples)
-        s_ik, s_il, s_jk, s_jl = _score_quads(model, quads, rng=rng)
+        s_ik, s_il, s_jk, s_jl = score(
+            [f.samples for q in quads for f in q.frames()]).reshape(-1, 4).T
         both_i = np.concatenate([s_ik, s_il])
         both_j = np.concatenate([s_jk, s_jl])
         report["r_rank"] = evaluation.eval_rank(both_i, both_j)
@@ -227,12 +217,8 @@ def cmd_eval(args, file_config) -> int:
         if args.kfold is not None and not 1 <= args.kfold <= len(items):
             raise UsageError("--kfold must be between 1 and the %d MOS items,"
                              " got %d" % (len(items), args.kfold))
-        if rng is not None:
-            preds = rng.uniform(1.0, 5.0, size=len(items))
-        else:
-            # every item is at least 1 s long; score its first second
-            _, preds = model.infer([samples[:FRAME_SAMPLES]
-                                    for samples, _ in items])
+        # every item is at least 1 s long; score its first second
+        preds = score([samples[:FRAME_SAMPLES] for samples, _ in items])
         if args.kfold is not None:
             split = evaluation.kfold_split(len(items), args.kfold,
                                            seed=args.seed or 0)
@@ -259,7 +245,7 @@ def cmd_eval(args, file_config) -> int:
     return EXIT_OK
 
 
-def cmd_score(args, file_config) -> int:
+def cmd_score(args) -> int:
     model = load_checkpoint(args.checkpoint)
     ref_z = None
     if args.reference:
@@ -274,20 +260,14 @@ def cmd_score(args, file_config) -> int:
             if ref_z is not None:
                 s = model.score_reference(z, ref_z)
             print("%s\t%.4f" % (path, float(s[0])))
-        except (OSError, AudioFormatError, DegenerateInputError,
-                ValueError) as e:
+        except (OSError, ValueError) as e:
             print("%s\tERROR: %s" % (path, e), file=sys.stderr)
             status = EXIT_USAGE
     return status
 
 
-def cmd_analyze(args, file_config) -> int:
+def cmd_analyze(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    if args.mode == "distances":
-        quads = _load_quads(args.quadruples)
-        stats = evaluation.latent_distance_stats(model, quads)
-        _emit(json.dumps(stats, indent=2), args.out)
-        return EXIT_OK
     if args.mode == "sweep":
         if not args.clean:
             raise UsageError("sweep mode needs --clean WAV")
@@ -303,18 +283,20 @@ def cmd_analyze(args, file_config) -> int:
         lines.append("clean,%.4f" % curve["clean_score"])
         _emit("\n".join(lines), args.out)
         return EXIT_OK
-    if args.mode == "latents":
-        if not args.out:
-            raise UsageError("latents mode needs --out")
-        quads = _load_quads(args.quadruples)
-        items = []
-        for i, q in enumerate(quads):
-            items.append((i, q.x_ik.samples,
-                          {"kinds": [s.kind for s in q.chain_i]}))
-        evaluation.export_latents(model, items, args.out)
-        print("wrote %d latents to %s" % (len(items), args.out))
+    if not args.quadruples:
+        raise UsageError("%s mode needs --quadruples" % args.mode)
+    if args.mode == "distances":
+        stats = evaluation.latent_distance_stats(
+            model, _load_quads(args.quadruples))
+        _emit(json.dumps(stats, indent=2), args.out)
         return EXIT_OK
-    raise UsageError("unknown analyze mode %r" % args.mode)
+    if not args.out:
+        raise UsageError("latents mode needs --out")
+    items = [(i, q.x_ik.samples, {"kinds": [s.kind for s in q.chain_i]})
+             for i, q in enumerate(_load_quads(args.quadruples))]
+    evaluation.export_latents(model, items, args.out)
+    print("wrote %d latents to %s" % (len(items), args.out))
+    return EXIT_OK
 
 
 # ------------------------------------------------------------ entrypoint
@@ -326,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="synthesize quadruples")
-    g.add_argument("--pool", help="clean speech directory")
+    g.add_argument("--pool", required=True, help="clean speech directory")
     g.add_argument("--out", default="quads", help="output WAV directory")
     g.add_argument("--manifest", default="quads.jsonl")
     g.add_argument("--n", type=int)
@@ -337,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validate chain distributions instead of writing")
 
     t = sub.add_parser("train", help="train a model")
-    t.add_argument("--quadruples", help="quadruple manifest")
+    t.add_argument("--quadruples", required=True, help="quadruple manifest")
     t.add_argument("--mos", help="MOS manifest")
     t.add_argument("--jnd", help="JND manifest")
     t.add_argument("--compute-measures", action="store_true")
@@ -345,17 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--log", default=None)
     t.add_argument("--epochs", type=int)
     t.add_argument("--batch-size", type=int)
-    t.add_argument("--lr", type=float)
+    t.add_argument("--lr", type=float, dest="base_lr")
     t.add_argument("--channels", type=float, help="channel multiplier")
     t.add_argument("--loss-mask", help="comma-separated loss names")
     t.add_argument("--seed", type=int)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
-    e.add_argument("--checkpoint")
+    scorer = e.add_mutually_exclusive_group(required=True)
+    scorer.add_argument("--checkpoint")
+    scorer.add_argument("--random-baseline", action="store_true")
     e.add_argument("--quadruples")
     e.add_argument("--mos")
     e.add_argument("--kfold", type=int)
-    e.add_argument("--random-baseline", action="store_true")
     e.add_argument("--seed", type=int)
     e.add_argument("--out")
 
@@ -381,21 +364,23 @@ _COMMANDS = {"generate": cmd_generate, "train": cmd_train,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         file_config = _load_config_file(args.config)
-        return _COMMANDS[args.command](args, file_config)
-    except (UsageError, ManifestError, PoolExhaustedError, FileNotFoundError,
-            AudioFormatError, UnavailableDegradationError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
-    except CheckpointError as e:
+        for name, cast in SETTINGS.get(args.command, {}).items():
+            setattr(args, name, resolve_option(name, getattr(args, name),
+                                               file_config, cast=cast))
+        return _COMMANDS[args.command](args)
+    except CheckpointError as e:   # a ValueError, so caught first
         print("checkpoint error: %s" % e, file=sys.stderr)
         return EXIT_CHECKPOINT
     except FloatingPointError as e:
         print("numerical failure: %s" % e, file=sys.stderr)
         return EXIT_NUMERICAL
+    except (OSError, ValueError, PoolExhaustedError,
+            UnavailableDegradationError) as e:   # unreadable or bad input
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ j (so quality(i) >= quality(j) by construction). A random delay of up to
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -169,20 +170,26 @@ def iter_quadruples(pool: CleanPool, count: int, master_seed: int,
 # ------------------------------------------------------------- manifests
 
 def write_quadruple_manifest(quadruples, wav_dir, manifest_path) -> None:
-    """Write WAVs and a JSON-lines manifest for (id, Quadruple) pairs."""
+    """Write WAVs and a JSON-lines manifest for (id, Quadruple) pairs. The
+    manifest appears only once all are written: a partial one would parse."""
     wav_dir = Path(wav_dir)
     wav_dir.mkdir(parents=True, exist_ok=True)
-    with open(manifest_path, "w") as f:
-        for qid, q in quadruples:
-            rec = {"id": int(qid), "delay_ms": q.delay_ms,
-                   "parent_id": q.parent_id,
-                   "chain_i": [s.to_dict() for s in q.chain_i],
-                   "chain_j": [s.to_dict() for s in q.chain_j]}
-            for tag, frame in zip(("ik", "il", "jk", "jl"), q.frames()):
-                path = wav_dir / ("q%06d_%s.wav" % (qid, tag))
-                write_wav(frame, path)
-                rec["wav_" + tag] = str(path)
-            f.write(json.dumps(rec) + "\n")
+    tmp = Path("%s.tmp" % manifest_path)
+    try:
+        with open(tmp, "w") as f:
+            for qid, q in quadruples:
+                rec = {"id": int(qid), "delay_ms": q.delay_ms,
+                       "parent_id": q.parent_id,
+                       "chain_i": [s.to_dict() for s in q.chain_i],
+                       "chain_j": [s.to_dict() for s in q.chain_j]}
+                for tag, frame in zip(("ik", "il", "jk", "jl"), q.frames()):
+                    path = wav_dir / ("q%06d_%s.wav" % (qid, tag))
+                    write_wav(frame, path)
+                    rec["wav_" + tag] = str(path)
+                f.write(json.dumps(rec) + "\n")
+        os.replace(tmp, manifest_path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _spec(d) -> DegradationSpec:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio import AudioFrame, read_wav, write_wav
+from ..audio import AudioFrame, CANONICAL_RATE, read_wav, write_wav
 from .kinds import UnavailableDegradationError
 
 PLACEHOLDERS = ("{in}", "{out}", "{codec}", "{bitrate}")
@@ -58,4 +58,9 @@ def transcode(frame: AudioFrame, spec, template: str) -> np.ndarray:
         if not dst.exists():
             raise UnavailableDegradationError(
                 "transcoder produced no output for %s" % spec.kind)
-        return read_wav(dst).samples
+        out = read_wav(dst)
+        if out.sample_rate != CANONICAL_RATE:
+            raise UnavailableDegradationError(
+                "transcoder output for %s is at %d Hz, not %d Hz"
+                % (spec.kind, out.sample_rate, CANONICAL_RATE))
+        return out.samples

@@ -14,7 +14,7 @@ from . import ad
 from .ad import Tensor
 from .degrade.chains import sample_spec
 from .degrade.kernels import apply_degradation
-from .objectives import DEFAULT_BETA, consistency_terms, loss_cons
+from .objectives import consistency_terms, loss_cons
 
 SWEEP_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)   # DS1..DS5
 SWEEP_SEEDS = 5                          # degraded clips per strength
@@ -52,15 +52,15 @@ def _f64(scores) -> Tensor:
     return Tensor(np.asarray(scores, dtype=np.float64))
 
 
-def consistency_values(s_ik, s_il, s_jk, s_jl, beta=DEFAULT_BETA):
+def consistency_values(s_ik, s_il, s_jk, s_jl):
     """Per-quadruple consistency: the training loss's per-quadruple terms
     (objectives.consistency_terms) in float64."""
     with ad.no_grad():
         return consistency_terms(_f64(s_ik), _f64(s_il), _f64(s_jk),
-                                 _f64(s_jl), beta).data
+                                 _f64(s_jl)).data
 
 
-def eval_cons(quad_scores, pair_scores=None, beta=DEFAULT_BETA) -> float:
+def eval_cons(quad_scores, pair_scores=None) -> float:
     """Mean consistency over quadruples plus optional distinguishable
     pairs (each contributing only the separation term): the consistency
     loss (objectives.loss_cons) in float64.
@@ -73,7 +73,7 @@ def eval_cons(quad_scores, pair_scores=None, beta=DEFAULT_BETA) -> float:
     if not quads[0].data.size and (pairs is None or not pairs[0].data.size):
         raise ValueError("empty evaluation set")
     with ad.no_grad():
-        return float(loss_cons(*quads, beta=beta, extra_pairs=pairs).data)
+        return float(loss_cons(*quads, extra_pairs=pairs).data)
 
 
 def e_total(l_mos: float, r_rank: float, l_cons: float) -> float:

@@ -8,6 +8,7 @@ ManifestError naming the file and the line.
 from __future__ import annotations
 
 import json
+import math
 
 
 class ManifestError(ValueError):
@@ -42,3 +43,11 @@ def str_field(rec: dict, key: str) -> str:
     if not isinstance(value, str):
         raise TypeError("field %r is not a string" % key)
     return value
+
+
+def finite(value, key: str) -> float:
+    """float(value) for field `key`; Python's json reads NaN and Infinity."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("field %r is not finite: %r" % (key, x))
+    return x

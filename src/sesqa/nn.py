@@ -190,7 +190,7 @@ def _channel_moments(x: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
     return mu.astype(x.dtype), var.astype(x.dtype)
 
 
-def batchnorm(x, gamma, beta, state: BatchNorm, train: bool, eps=BN_EPS):
+def batchnorm(x, gamma, beta, state: BatchNorm, train: bool):
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     nd = x.data.ndim
     if nd == 2:
@@ -211,7 +211,7 @@ def batchnorm(x, gamma, beta, state: BatchNorm, train: bool, eps=BN_EPS):
         mu = state.running_mean.astype(x.data.dtype)
         var = state.running_var.astype(x.data.dtype)
 
-    ivstd = 1.0 / np.sqrt(var + eps)
+    ivstd = 1.0 / np.sqrt(var + BN_EPS)
     # fused affine: y = x * scale + shift
     scale = (gamma.data * ivstd).reshape(pshape)
     shift = (beta.data - gamma.data * ivstd * mu).reshape(pshape)

@@ -16,8 +16,8 @@ from .ad import Tensor, as_tensor
 
 LOSS_NAMES = ("mos", "rank", "cons", "sd", "jnd", "dt", "ds", "mr")
 
-DEFAULT_ALPHA = 0.3   # ranking margin
-DEFAULT_BETA = 0.1    # consistency separation margin
+ALPHA = 0.3   # ranking margin
+BETA = 0.1    # consistency separation margin, in training and evaluation
 
 
 def check_loss_mask(mask) -> tuple:
@@ -38,36 +38,36 @@ def loss_mos(s: Tensor, targets) -> Tensor:
     return ad.l1_loss(s, np.asarray(targets))
 
 
-def loss_rank(s_i: Tensor, s_j: Tensor, alpha=DEFAULT_ALPHA,
-              targets_i=None, targets_j=None, annotated=False) -> Tensor:
+def loss_rank(s_i: Tensor, s_j: Tensor, targets_i=None, targets_j=None,
+              annotated=False) -> Tensor:
     """Pairwise hinge: mean of max(0, s_j - s_i + margin).
 
-    Programmatic pairs use the fixed margin alpha. Annotated pairs (with
+    Programmatic pairs use the fixed margin ALPHA. Annotated pairs (with
     ground-truth scores, ordered so targets_i >= targets_j) use the
-    tighter margin min(alpha, s*_i - s*_j).
+    tighter margin min(ALPHA, s*_i - s*_j).
     """
     if annotated:
         if targets_i is None or targets_j is None:
             raise ValueError("annotated ranking pairs need both target "
                              "score arrays")
-        margin = np.minimum(alpha, np.asarray(targets_i, dtype=np.float64)
+        margin = np.minimum(ALPHA, np.asarray(targets_i, dtype=np.float64)
                             - np.asarray(targets_j, dtype=np.float64))
     else:
-        margin = alpha
+        margin = ALPHA
     return ad.mean(ad.relu(s_j - s_i + as_tensor(
         np.broadcast_to(np.asarray(margin, dtype=s_i.data.dtype),
                         s_i.data.shape).copy())))
 
 
-def _separation_term(a: Tensor, b: Tensor, beta: float) -> Tensor:
-    """Margin term pushing distinguishable pairs at least beta apart."""
-    gap = ad.clamp_max(ad.absolute(a - b), beta)
-    return ad.mul_const(ad.add_const(ad.mul_const(gap, -1.0), beta),
-                        1.0 / (2.0 * beta))
+def _separation_term(a: Tensor, b: Tensor) -> Tensor:
+    """Margin term pushing distinguishable pairs at least BETA apart."""
+    gap = ad.clamp_max(ad.absolute(a - b), BETA)
+    return ad.mul_const(ad.add_const(ad.mul_const(gap, -1.0), BETA),
+                        1.0 / (2.0 * BETA))
 
 
 def consistency_terms(s_ik: Tensor, s_il: Tensor, s_jk: Tensor,
-                      s_jl: Tensor, beta=DEFAULT_BETA) -> Tensor:
+                      s_jl: Tensor) -> Tensor:
     """Per quadruple: 1/4 (|s_ik - s_il| + ||s_ik - s_jk| - |s_il - s_jl||)
     plus the separation term on (s_ik, s_jk)."""
     same = ad.absolute(s_ik - s_il)
@@ -75,19 +75,18 @@ def consistency_terms(s_ik: Tensor, s_il: Tensor, s_jk: Tensor,
     diff_l = ad.absolute(s_il - s_jl)
     agree = ad.absolute(diff_k - diff_l)
     return (ad.mul_const(same + agree, 0.25)
-            + _separation_term(s_ik, s_jk, beta))
+            + _separation_term(s_ik, s_jk))
 
 
 def loss_cons(s_ik: Tensor, s_il: Tensor, s_jk: Tensor, s_jl: Tensor,
-              beta=DEFAULT_BETA, extra_pairs=None) -> Tensor:
+              extra_pairs=None) -> Tensor:
     """Mean consistency over quadruple scores (consistency_terms), plus
     optional extra distinguishable pairs (e.g. noticeable JND pairs) that
     contribute the separation term only."""
-    pieces = [ad.reshape(consistency_terms(s_ik, s_il, s_jk, s_jl, beta),
-                         (-1,))]
+    pieces = [ad.reshape(consistency_terms(s_ik, s_il, s_jk, s_jl), (-1,))]
     if extra_pairs is not None:
         a, b = extra_pairs
-        pieces.append(ad.reshape(_separation_term(a, b, beta), (-1,)))
+        pieces.append(ad.reshape(_separation_term(a, b), (-1,)))
     return ad.mean(ad.concat(pieces)) if len(pieces) > 1 else ad.mean(pieces[0])
 
 

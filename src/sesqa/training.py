@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ad, objectives
 from .audio import read_wav_48k
-from .manifest import read_jsonl, str_field
+from .manifest import finite, read_jsonl, str_field
 from .measures import fit_normalizer
 from .model import HEADS, Model, save_checkpoint
 
@@ -52,14 +52,15 @@ class TrainConfig:
 # ---------------------------------------------------------- data loading
 
 def _mos_record(rec) -> dict:
-    return {"path": str_field(rec, "path"), "mos": float(rec["mos"]),
-            "listener_scores": [float(v) for v in
+    return {"path": str_field(rec, "path"), "mos": finite(rec["mos"], "mos"),
+            "listener_scores": [finite(v, "listener_scores") for v in
                                 rec.get("listener_scores", [])]}
 
 
 def _jnd_record(rec) -> dict:
     return {"path_a": str_field(rec, "path_a"),
-            "path_b": str_field(rec, "path_b"), "jnd": float(rec["jnd"])}
+            "path_b": str_field(rec, "path_b"),
+            "jnd": finite(rec["jnd"], "jnd")}
 
 
 def read_mos_manifest(path) -> list:

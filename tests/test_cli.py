@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from sesqa.cli import (EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, UsageError,
-                       main, resolve_option)
+from sesqa import cli
+from sesqa.cli import (EXIT_CHECKPOINT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+                       UsageError, main, resolve_option)
 from sesqa.audio import write_wav
 from sesqa.model import load_checkpoint
 
@@ -132,13 +133,32 @@ def test_bad_config_file(tmp_path):
 
 
 def test_train_deterministic(workdir, checkpoint, tmp_path):
-    again = tmp_path / "again.ckpt"
+    again, log = tmp_path / "again.ckpt", tmp_path / "log.jsonl"
     rc = main(["train", "--quadruples", str(workdir["manifest"]),
                "--mos", str(workdir["mos_manifest"]),
                "--out", str(again), "--epochs", "1", "--batch-size", "6",
-               "--channels", "0.25", "--loss-mask", "mos", "--seed", "1"])
+               "--channels", "0.25", "--loss-mask", "mos", "--seed", "1",
+               "--log", str(log)])
     assert rc == EXIT_OK
     assert again.read_bytes() == checkpoint.read_bytes()
+    # 12 quadruples in batches of 6: one record per step
+    records = [json.loads(l) for l in log.read_text().splitlines()]
+    assert [r["step"] for r in records] == [0, 1]
+    assert all(np.isfinite(r["total"]) for r in records)
+
+
+def test_train_numerical_failure_exit_code(workdir, tmp_path, capsys):
+    manifest = tmp_path / "four.jsonl"
+    lines = workdir["manifest"].read_text().splitlines()
+    manifest.write_text("\n".join(lines[:4]) + "\n")
+    out = tmp_path / "x.ckpt"
+    rc = main(["train", "--quadruples", str(manifest), "--out", str(out),
+               "--lr", "1e30", "--epochs", "3", "--batch-size", "2",
+               "--channels", "0.125", "--seed", "1"])
+    assert rc == EXIT_NUMERICAL
+    assert capsys.readouterr().err == \
+        "numerical failure: non-finite total loss at step 1\n"
+    assert not out.exists()
 
 
 def test_train_bad_loss_mask(workdir, tmp_path):
@@ -253,11 +273,17 @@ def test_malformed_manifest_exit_code(workdir, tmp_path, capsys):
     train = ["train", "--out", str(tmp_path / "x.ckpt"), "--channels", "0.25",
              "--quadruples", str(bad)]
     mos = ["eval", "--random-baseline", "--mos", str(bad)]
+    jnd = train[:-1] + [str(workdir["manifest"]), "--jnd", str(bad)]
     cases = ((train, b"{not json\n"),
              (train, json.dumps(no_chain).encode()),
              (train, json.dumps(bad_kind).encode()),
              (mos, b'{"path": "a.wav", "listener_scores": [3]}\n'),
-             (mos, b'{"path": "\xff\xfe.wav", "mos": 3}\n'))
+             (mos, b'{"path": "\xff\xfe.wav", "mos": 3}\n'),
+             # Python's json reads NaN and Infinity
+             (mos, b'{"path": "a.wav", "mos": NaN}\n'),
+             (mos, b'{"path": "a.wav", "mos": 3, "listener_scores": '
+                   b'[3, -Infinity]}\n'),
+             (jnd, b'{"path_a": "a.wav", "path_b": "b.wav", "jnd": NaN}\n'))
     for argv, blob in cases:
         bad.write_bytes(blob)
         rc = main(argv)
@@ -340,6 +366,8 @@ def test_failing_transcoder_exit_code(workdir, tmp_path, capsys):
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith(
         "error: external transcoder failed for transcode_")
+    # the quadruples before the failure leave no manifest that would parse
+    assert not list(tmp_path.glob("q.jsonl*"))
 
 
 def test_other_rate_quadruples_rejected(workdir, checkpoint, tmp_path,
@@ -413,6 +441,18 @@ def test_analyze_modes(workdir, checkpoint, tmp_path, capsys):
                "--mode", "sweep"])      # missing --clean
     assert rc == EXIT_USAGE
 
+    clean, csv = tmp_path / "clean.wav", tmp_path / "sweep.csv"
+    write_wav(speechlike(seed=85, seconds=1.0), clean)
+    rc = main(["analyze", "--checkpoint", str(checkpoint), "--mode", "sweep",
+               "--clean", str(clean), "--kind", "clipping",
+               "--out", str(csv)])
+    assert rc == EXIT_OK
+    rows = [l.split(",") for l in csv.read_text().splitlines()]
+    assert rows[0] == ["strength", "mean_score"]
+    assert [r[0] for r in rows[1:]] == ["0.1", "0.3", "0.5", "0.7", "0.9",
+                                        "clean"]
+    assert all(1.0 < float(r[1]) < 5.0 for r in rows[1:])
+
     out = tmp_path / "dist.json"
     rc = main(["analyze", "--checkpoint", str(checkpoint),
                "--mode", "distances", "--quadruples",
@@ -430,3 +470,98 @@ def test_analyze_modes(workdir, checkpoint, tmp_path, capsys):
     rows = [json.loads(l) for l in lat.read_text().splitlines() if l]
     assert len(rows) == 12
     assert len(rows[0]["latent"]) == 200
+
+
+def test_eval_needs_one_scorer(workdir, capsys):
+    mos = ["--mos", str(workdir["mos_manifest"])]
+    for argv in (["eval"] + mos,
+                 ["eval", "--checkpoint", "m.ckpt", "--random-baseline"]
+                 + mos):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == EXIT_USAGE
+        assert "--random-baseline" in capsys.readouterr().err
+
+
+# Each path-taking flag given a directory, a missing path or a file of the
+# wrong kind; {dir}, {missing} and the others are filled in below.
+_BAD_PATHS = {
+    "config-dir": ["--config", "{dir}", "generate", "--pool", "{pool}",
+                   "--n", "1"],
+    "generate-pool-missing": ["generate", "--pool", "{missing}", "--n", "1"],
+    "generate-pool-file": ["generate", "--pool", "{wav}", "--n", "1"],
+    "generate-noise-pool-file": ["generate", "--pool", "{pool}",
+                                 "--noise-pool", "{wav}", "--n", "1"],
+    "generate-manifest-dir": ["generate", "--pool", "{pool}", "--n", "1",
+                              "--out", "{tmp}/q", "--manifest", "{dir}"],
+    "generate-out-file": ["generate", "--pool", "{pool}", "--n", "1",
+                          "--out", "{wav}", "--manifest", "{tmp}/q.jsonl"],
+    "train-quadruples-dir": ["train", "--quadruples", "{dir}",
+                             "--out", "{tmp}/x.ckpt"],
+    "train-quadruples-missing": ["train", "--quadruples", "{missing}",
+                                 "--out", "{tmp}/x.ckpt"],
+    "train-mos-dir": ["train", "--quadruples", "{quads}", "--mos", "{dir}",
+                      "--out", "{tmp}/x.ckpt"],
+    "train-jnd-dir": ["train", "--quadruples", "{quads}", "--jnd", "{dir}",
+                      "--out", "{tmp}/x.ckpt"],
+    "train-out-dir": ["train", "--quadruples", "{quads}", "--out", "{dir}"],
+    "train-out-missing-dir": ["train", "--quadruples", "{quads}",
+                              "--out", "{missing}/x.ckpt"],
+    "train-log-missing-dir": ["train", "--quadruples", "{quads}",
+                              "--out", "{tmp}/x.ckpt",
+                              "--log", "{missing}/log.jsonl"],
+    "eval-checkpoint-dir": ["eval", "--checkpoint", "{dir}",
+                            "--quadruples", "{quads}"],
+    "eval-checkpoint-missing": ["eval", "--checkpoint", "{missing}",
+                                "--quadruples", "{quads}"],
+    "eval-quadruples-dir": ["eval", "--random-baseline",
+                            "--quadruples", "{dir}"],
+    "eval-mos-dir": ["eval", "--random-baseline", "--mos", "{dir}"],
+    "eval-mos-missing": ["eval", "--random-baseline", "--mos", "{missing}"],
+    "eval-out-dir": ["eval", "--random-baseline", "--mos", "{mos}",
+                     "--out", "{dir}"],
+    "score-checkpoint-dir": ["score", "--checkpoint", "{dir}", "{wav}"],
+    "score-reference-dir": ["score", "--checkpoint", "{ckpt}",
+                            "--reference", "{dir}", "{wav}"],
+    "score-wav-dir": ["score", "--checkpoint", "{ckpt}", "{dir}"],
+    "analyze-checkpoint-dir": ["analyze", "--checkpoint", "{dir}",
+                               "--mode", "distances", "--quadruples",
+                               "{quads}"],
+    "analyze-quadruples-dir": ["analyze", "--checkpoint", "{ckpt}",
+                               "--mode", "distances", "--quadruples",
+                               "{dir}"],
+    "analyze-distances-out-dir": ["analyze", "--checkpoint", "{ckpt}",
+                                  "--mode", "distances", "--quadruples",
+                                  "{quads}", "--out", "{dir}"],
+    "analyze-latents-out-dir": ["analyze", "--checkpoint", "{ckpt}",
+                                "--mode", "latents", "--quadruples",
+                                "{quads}", "--out", "{dir}"],
+    "analyze-clean-dir": ["analyze", "--checkpoint", "{ckpt}", "--mode",
+                          "sweep", "--clean", "{dir}", "--kind", "clipping"],
+    "analyze-clean-short": ["analyze", "--checkpoint", "{ckpt}", "--mode",
+                            "sweep", "--clean", "{short}",
+                            "--kind", "clipping"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PATHS))
+def test_bad_path_exit_code(case, workdir, checkpoint, tmp_path, capsys,
+                            monkeypatch):
+    """One message line and exit 2, never a traceback; nothing trains."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    wav, short = tmp_path / "x.wav", tmp_path / "short.wav"
+    write_wav(speechlike(seed=86, seconds=1.0), wav)
+    write_wav(speechlike(seed=87, seconds=1000 / 48000), short)
+    (tmp_path / "dir").mkdir()
+    names = {"dir": tmp_path / "dir", "missing": tmp_path / "missing",
+             "wav": wav, "short": short, "tmp": tmp_path,
+             "pool": workdir["pool"], "quads": workdir["manifest"],
+             "mos": workdir["mos_manifest"], "ckpt": checkpoint}
+    argv = [a.format(**names) for a in _BAD_PATHS[case]]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: " in err.lower(), err
+    assert not (tmp_path / "q.jsonl").exists()

@@ -359,6 +359,21 @@ def test_transcode_failure_is_reported():
                           transcoder_cmd="false {in} {out} {codec} {bitrate}")
 
 
+def test_transcode_output_at_other_rate_is_rejected():
+    frame = speechlike(seed=32, seconds=0.5)
+    spec = DegradationSpec(kind="transcode_mp3", strength=0.3)
+    # a "codec" that relabels its input as 16 kHz: the rate field sits at
+    # byte 24 of the WAV header
+    to_16k = ('python3 -c "import struct,sys;'
+              " d=bytearray(open(sys.argv[1],'rb').read());"
+              " struct.pack_into('<I',d,24,16000);"
+              " open(sys.argv[2],'wb').write(d)\""
+              " {in} {out} {codec} {bitrate}")
+    with pytest.raises(UnavailableDegradationError,
+                       match="transcode_mp3 is at 16000 Hz"):
+        apply_degradation(frame, spec, transcoder_cmd=to_16k)
+
+
 def test_chain_application_order():
     frame = speechlike(seed=33, seconds=0.5)
     chain = [DegradationSpec(kind="clipping", strength=0.4),
