@@ -128,13 +128,17 @@ def _make(data, parents, backward) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add g to t.grad without copying: the first g is stored as given, so
+    a gradient array may be shared (add hands one g to both parents) or a
+    read-only view, and is never written in place, by a closure or an
+    optimizer. A sum is cast to t's dtype, as a float64 term would promote."""
     if not t.requires_grad:
         return
     g = _unbroadcast(np.asarray(g), t.data.shape)
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g.astype(t.data.dtype, copy=False)
     else:
-        t.grad += g
+        t.grad = (t.grad + g).astype(t.data.dtype, copy=False)
 
 
 # ---------------------------------------------------------------- basics

@@ -171,10 +171,12 @@ def iter_quadruples(pool: CleanPool, count: int, master_seed: int,
 
 def write_quadruple_manifest(quadruples, wav_dir, manifest_path) -> None:
     """Write WAVs and a JSON-lines manifest for (id, Quadruple) pairs. The
-    manifest appears only once all are written: a partial one would parse."""
+    manifest appears only once all are written: a partial one would parse.
+    On failure every WAV path this call began to write is removed."""
     wav_dir = Path(wav_dir)
     wav_dir.mkdir(parents=True, exist_ok=True)
     tmp = Path("%s.tmp" % manifest_path)
+    written = []
     try:
         with open(tmp, "w") as f:
             for qid, q in quadruples:
@@ -184,12 +186,15 @@ def write_quadruple_manifest(quadruples, wav_dir, manifest_path) -> None:
                        "chain_j": [s.to_dict() for s in q.chain_j]}
                 for tag, frame in zip(("ik", "il", "jk", "jl"), q.frames()):
                     path = wav_dir / ("q%06d_%s.wav" % (qid, tag))
+                    written.append(path)
                     write_wav(frame, path)
                     rec["wav_" + tag] = str(path)
                 f.write(json.dumps(rec) + "\n")
         os.replace(tmp, manifest_path)
+        written.clear()  # the WAVs stay once the manifest lists them
     finally:
-        tmp.unlink(missing_ok=True)
+        for path in (tmp, *written):
+            path.unlink(missing_ok=True)
 
 
 def _spec(d) -> DegradationSpec:

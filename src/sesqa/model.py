@@ -69,7 +69,8 @@ def _softplus_inverse(y: float) -> float:
 
 class Model:
     """All parameters plus forward passes. Single-writer during training;
-    immutable (and therefore freely shareable) in eval mode."""
+    immutable (and therefore freely shareable) in eval mode. A residual
+    block ends in one nn.gated_residual op, h <- g*h + (1-g)*f."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -177,27 +178,21 @@ class Model:
 
         for i in range(4):
             h = nn.conv1d(h, p["enc.pool%d.w" % i], p["enc.pool%d.b" % i])
-            h = bns["enc.pool%d.bn" % i](h, train)
-            h = ad.relu(h)
+            h = bns["enc.pool%d.bn" % i](h, train, relu=True)
             h = nn.blurpool(h, 4)
 
         for r in range(6):
-            f = bns["enc.res%d.bn_pre" % r](h, train)
+            f = bns["enc.res%d.bn_pre" % r](h, train, relu=True)
             for j in range(3):
-                f = ad.relu(f)
                 f = nn.conv1d(f, p["enc.res%d.conv%d.w" % (r, j)],
                               p["enc.res%d.conv%d.b" % (r, j)])
-                f = bns["enc.res%d.conv%d.bn" % (r, j)](f, train)
-            gate = ad.sigmoid(p["enc.res%d.gate" % r])
-            gate3 = ad.reshape(gate, (1, -1, 1))
-            one_minus = ad.add_const(ad.mul_const(gate3, -1.0), 1.0)
-            h = gate3 * h + one_minus * f
+                f = bns["enc.res%d.conv%d.bn" % (r, j)](f, train, relu=j < 2)
+            h = nn.gated_residual(h, f, p["enc.res%d.gate" % r])
 
         h = nn.stats_pool(h)
         h = bns["enc.stats_bn"](h, train)
         h = nn.linear(h, p["enc.mlp0.w"], p["enc.mlp0.b"])
-        h = bns["enc.mlp0.bn"](h, train)
-        h = ad.relu(h)
+        h = bns["enc.mlp0.bn"](h, train, relu=True)
         h = nn.linear(h, p["enc.mlp1.w"], p["enc.mlp1.b"])
         z = bns["enc.mlp1.bn"](h, train)
         return z

@@ -1,13 +1,13 @@
 """Network building blocks on top of the autodiff core.
 
 Shapes follow the (batch, channels, time) convention for sequence ops and
-(batch, features) for dense layers.
+(batch, features) for dense layers. `batchnorm` can carry the ReLU that
+follows it, with the mask from its output (see BatchNorm).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .ad import Tensor, _accum, _make, as_tensor
 
@@ -54,7 +54,8 @@ def conv1d(x, w, b):
     W2 against that row's (K*C, T) column matrix of shifted copies (the
     row itself for K=1). The backward pass rebuilds each row's columns:
     dW2 += g_i @ cols_i^T, and W2^T @ g_i is overlap-added into dx in K
-    slices. Neither pass holds a padded or im2col copy of the batch.
+    slices (for K=1, W2^T @ g_i is dx_i). Neither pass holds a padded or
+    im2col copy of the batch.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     B, C, T = x.data.shape
@@ -76,6 +77,9 @@ def conv1d(x, w, b):
         spans = _tap_spans(K, T)
         for i, cols in enumerate(_tap_columns(x.data, K)):
             dW2 += g[i] @ cols.T
+            if K == 1:  # the one tap span is the identity
+                np.matmul(W2.T, g[i], out=dx[i])
+                continue
             np.matmul(W2.T, g[i], out=dcols)
             for k, dst, src in spans:
                 dx[i, :, src] += dcols[k * C:(k + 1) * C, dst]
@@ -87,33 +91,58 @@ def conv1d(x, w, b):
 
 
 def blurpool(x, factor=4):
-    """Anti-aliased downsampling: fixed binomial blur, reflect pad, stride 4."""
+    """Anti-aliased downsampling: binomial blur, reflect pad, stride 4, as a
+    polyphase sum: window j's taps 0-3 are row j of the padded input seen as
+    (B, C, To, 4), its tap 4 is row j+1's first sample."""
     x = as_tensor(x)
     B, C, T = x.data.shape
-    K = len(BLUR_KERNEL)
-    if T < K:
-        raise ValueError("blurpool input too short: %d < %d" % (T, K))
-    pad = (K - 1) // 2
+    if factor != 4 or T < len(BLUR_KERNEL):
+        raise ValueError("blurpool needs factor 4 and 5 samples, not %d, %d"
+                         % (factor, T))
     ker = BLUR_KERNEL.astype(x.data.dtype)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)), mode="reflect")
-    windows = sliding_window_view(xp, K, axis=2)[:, :, ::factor]  # (B,C,To,K)
-    y = windows @ ker
-    To = y.shape[2]
+    To = -(-T // 4)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (2, 2)), mode="reflect")
+    y = xp[..., :4 * To].reshape(B, C, To, 4) @ ker[:4]
+    y += ker[4] * xp[..., 4:4 * To + 1:4]
 
     def backward(g):
         if not x.requires_grad:
             return
-        dxp = np.zeros((B, C, T + 2 * pad), dtype=x.data.dtype)
-        for k in range(K):
-            dxp[:, :, k:k + (To - 1) * factor + 1:factor] += ker[k] * g
-        dx = dxp[:, :, pad:pad + T].copy()
-        # fold reflected pad positions back onto their sources
-        for i in range(pad):
-            dx[:, :, pad - i] += dxp[:, :, i]
-            dx[:, :, T - 1 - (pad - i)] += dxp[:, :, T + 2 * pad - 1 - i]
+        # no padded buffer: tap k of window j is padded position 4j + k, so
+        # dx[4j + k - 2]; taps 0-3 write disjoint phases, tap 4 adds to the
+        # phase of tap 0, and only tap 4 reaches past 4To - 3
+        dx = np.empty((B, C, T), dtype=g.dtype)
+        dx[..., 4 * To - 2:] = 0
+        for k in range(5):
+            j0, j1 = int(k < 2), min(To, (T + 1 - k) // 4 + 1)
+            phase = dx[..., 4 * j0 + k - 2:4 * j1 + k - 2:4]
+            if k < 4:
+                np.multiply(g[..., j0:j1], ker[k], out=phase)
+            else:
+                phase += ker[4] * g[..., j0:j1]
+        # the reflected pad positions 0, 1, T+2, T+3 fold onto 2, 1, T-2, T-3
+        for p, t in ((0, 2), (1, 1), (T + 2, T - 2), (T + 3, T - 3)):
+            dx[..., t] += sum(ker[k] * g[..., (p - k) // 4] for k in range(5)
+                              if k <= p < 4 * To + k and (p - k) % 4 == 0)
         _accum(x, dx)
 
     return _make(y, (x,), backward)
+
+
+def gated_residual(h, f, gate):
+    """g*h + (1-g)*f = f + g*(h-f) with g = sigmoid(gate) per channel of
+    (B,C,T). dh = g*G, df = (1-g)*G, dgate = sum_bt (h-f)*G * g*(1-g)."""
+    h, f, gate = as_tensor(h), as_tensor(f), as_tensor(gate)
+    g = (1.0 / (1.0 + np.exp(-gate.data)))[:, None]
+    y = f.data + g * (h.data - f.data)
+
+    def backward(G):
+        _accum(h, G * g)
+        _accum(f, G * (1.0 - g))
+        dg = np.einsum("bct,bct->c", h.data - f.data, G, dtype=np.float64)
+        _accum(gate, dg * (g * (1.0 - g))[:, 0])
+
+    return _make(y, (h, f, gate), backward)
 
 
 def mu_law_compand(x, mu):
@@ -165,6 +194,12 @@ class BatchNorm:
     the running stats; eval mode normalizes with the running stats.
     Training ends with one recalibration pass (training.recalibrate_bn),
     so the stats eval mode reads are those of that pass.
+
+    relu=True clamps the output at zero in place. Every encoder BatchNorm
+    that a ReLU follows carries it (enc.pool*.bn, enc.res*.bn_pre,
+    enc.res*.conv0/conv1.bn, enc.mlp0.bn), so the graph keeps one array
+    where BN and ReLU kept two, and the ReLU mask comes from that output:
+    y > 0 exactly where the affine output is positive.
     """
 
     def __init__(self, num_features, dtype=np.float32):
@@ -173,38 +208,36 @@ class BatchNorm:
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
 
-    def __call__(self, x, train: bool):
-        return batchnorm(x, self.gamma, self.beta, self, train)
+    def __call__(self, x, train: bool, relu: bool = False):
+        return batchnorm(x, self.gamma, self.beta, self, train, relu)
 
 
-def _channel_moments(x: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+def _as3(a: np.ndarray) -> np.ndarray:
+    """(B,C,T) as is, (B,F) as its (1,F,B) view: channel axis 1 both ways."""
+    return a if a.ndim == 3 else a.T[None]
+
+
+def _channel_moments(x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-pass per-channel mean and population variance (float64 accum)."""
-    n = int(np.prod([x.shape[a] for a in axes]))
-    s = x.sum(axis=axes, dtype=np.float64)
-    if x.ndim == 3:
-        sq = np.einsum("bct,bct->c", x, x, dtype=np.float64)
-    else:
-        sq = np.einsum("bc,bc->c", x, x, dtype=np.float64)
-    mu = s / n
+    n = x3.shape[0] * x3.shape[2]
+    mu = x3.sum(axis=(0, 2), dtype=np.float64) / n
+    sq = np.einsum("bct,bct->c", x3, x3, dtype=np.float64)
     var = np.maximum(sq / n - mu ** 2, 0.0)
-    return mu.astype(x.dtype), var.astype(x.dtype)
+    return mu.astype(x3.dtype), var.astype(x3.dtype)
 
 
-def batchnorm(x, gamma, beta, state: BatchNorm, train: bool):
+def batchnorm(x, gamma, beta, state: BatchNorm, train: bool,
+              relu: bool = False):
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    nd = x.data.ndim
-    if nd == 2:
-        axes, pshape = (0,), (1, -1)
-    elif nd == 3:
-        axes, pshape = (0, 2), (1, -1, 1)
-    else:
+    if x.data.ndim not in (2, 3):
         raise ValueError("batchnorm expects 2-D or 3-D input")
-    n = int(np.prod([x.data.shape[a] for a in axes]))
+    x3 = _as3(x.data)
+    n = x3.shape[0] * x3.shape[2]
 
     if train:
         if n < 2:
             raise ValueError("batch statistics need more than one element")
-        mu, var = _channel_moments(x.data, axes)
+        mu, var = _channel_moments(x3)
         state.running_mean[...] = mu
         state.running_var[...] = var
     else:
@@ -212,41 +245,44 @@ def batchnorm(x, gamma, beta, state: BatchNorm, train: bool):
         var = state.running_var.astype(x.data.dtype)
 
     ivstd = 1.0 / np.sqrt(var + BN_EPS)
-    # fused affine: y = x * scale + shift
-    scale = (gamma.data * ivstd).reshape(pshape)
-    shift = (beta.data - gamma.data * ivstd * mu).reshape(pshape)
-    y = np.empty_like(x.data)
-    np.multiply(x.data, scale, out=y)
-    np.add(y, shift, out=y)
+    # fused affine y = x * scale + shift, one batch row at a time
+    scale = gamma.data * ivstd
+    shift = (beta.data - scale * mu)[:, None]
+    out = np.empty_like(x.data)
+    y = _as3(out)
+    for xi, yi in zip(x3, y):
+        np.multiply(xi, scale[:, None], out=yi)
+        yi += shift
+        if relu:
+            np.maximum(yi, 0, out=yi)
 
     def backward(g):
-        # per-channel reductions shared by dgamma and the train-mode dx
-        sg = g.sum(axis=axes, dtype=np.float64)
-        if g.ndim == 3:
-            sgx = np.einsum("bct,bct->c", g, x.data, dtype=np.float64)
-        else:
-            sgx = np.einsum("bc,bc->c", g, x.data, dtype=np.float64)
+        # pass 1 over the rows: the ReLU-masked gradient gm (kept in dx)
+        # and its float64 channel sums, for dgamma, dbeta and dx
+        dx = np.empty(x.data.shape, dtype=g.dtype)
+        gm = _as3(dx) if relu else _as3(g)
+        sg, sgx = np.zeros((2, len(mu)))
+        for gi, xi, yi, gmi in zip(_as3(g), x3, y, gm):
+            if relu:
+                np.multiply(gi, yi > 0, out=gmi)
+            sg += gmi.sum(axis=1, dtype=np.float64)
+            sgx += np.einsum("ct,ct->c", gmi, xi, dtype=np.float64)
         dgamma = ((sgx - mu.astype(np.float64) * sg)
                   * ivstd.astype(np.float64)).astype(g.dtype)
-        if gamma.requires_grad:
-            _accum(gamma, dgamma)
-        if beta.requires_grad:
-            _accum(beta, sg.astype(g.dtype))
-        if x.requires_grad:
+        _accum(gamma, dgamma)
+        _accum(beta, sg.astype(g.dtype))
+        # pass 2: dx = a*gm + b*x + c per channel in train mode, a*gm in eval
+        bb = -scale * ivstd * dgamma / n
+        cc = -scale * sg.astype(g.dtype) / n - bb * mu
+        tmp = np.empty(x3.shape[1:], dtype=g.dtype)
+        for gmi, xi, dxi in zip(gm, x3, _as3(dx)):
+            np.multiply(gmi, scale[:, None], out=dxi)
             if train:
-                # dx = a*g + b*x + c with per-channel coefficients
-                a = gamma.data * ivstd
-                bb = -a * ivstd * dgamma / n
-                cc = (-a * sg.astype(g.dtype) / n
-                      - bb * mu)
-                dx = g * a.reshape(pshape)
-                dx += x.data * bb.reshape(pshape)
-                dx += cc.reshape(pshape)
-                _accum(x, dx)
-            else:
-                _accum(x, g * scale)
+                dxi += np.multiply(xi, bb[:, None], out=tmp)
+                dxi += cc[:, None]
+        _accum(x, dx)
 
-    return _make(y, (x, gamma, beta), backward)
+    return _make(out, (x, gamma, beta), backward)
 
 
 def linear(x, w, b):

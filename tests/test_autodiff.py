@@ -221,6 +221,31 @@ def test_grad_blurpool():
     rng = np.random.default_rng(7)
     x = t64(rng, 2, 3, 21)
     check(lambda: ad.mean(nn.blurpool(x, 4)), [x])
+    # every length mod 4 sets the last window and the reflected edges
+    # apart; random weights give each output its own gradient
+    for T in (20, 22, 23):
+        x = t64(rng, 2, 3, T)
+        w = ad.Tensor(rng.normal(size=(2, 3, -(-T // 4))))
+        check(lambda: ad.mean(nn.blurpool(x, 4) * w), [x])
+
+
+def test_blurpool_backward_keeps_no_padded_copy():
+    # dx is written directly: no (B, C, T+4) buffer, which with its
+    # fold-back copy into dx took twice the size of dx
+    rng = np.random.default_rng(18)
+    x = ad.Tensor(rng.normal(size=(8, 4, 48000)).astype(np.float32),
+                  requires_grad=True)
+    y = nn.blurpool(x, 4)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.data.shape
+    assert peak < 1.5 * x.data.nbytes
 
 
 def test_grad_mu_law():
@@ -236,8 +261,11 @@ def test_grad_stats_pool():
     check(lambda: ad.mean(nn.stats_pool(x)), [x])
 
 
-@pytest.mark.parametrize("train", [True, False])
-def test_grad_batchnorm(train):
+@pytest.mark.parametrize(
+    "train, relu", [(True, False), (False, False), (True, True),
+                    (False, True)],
+    ids=["True", "False", "True-relu", "False-relu"])
+def test_grad_batchnorm(train, relu):
     rng = np.random.default_rng(10)
     x = t64(rng, 4, 3, 6)
     gamma = ad.Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
@@ -249,11 +277,20 @@ def test_grad_batchnorm(train):
     def fn():
         # keep running stats fixed so repeated forwards are identical
         saved = state.running_mean.copy(), state.running_var.copy()
-        out = ad.mean(nn.batchnorm(x, gamma, beta, state, train))
+        out = ad.mean(nn.batchnorm(x, gamma, beta, state, train, relu))
         state.running_mean, state.running_var = saved
         return out
 
     check(fn, [x, gamma, beta])
+
+
+def test_grad_gated_residual():
+    rng = np.random.default_rng(12)
+    h = t64(rng, 2, 3, 5)
+    f = t64(rng, 2, 3, 5)
+    gate = t64(rng, 3)
+    w = ad.Tensor(rng.normal(size=(2, 3, 5)))
+    check(lambda: ad.mean(nn.gated_residual(h, f, gate) * w), [h, f, gate])
 
 
 def test_batchnorm_train_stores_batch_stats():
@@ -421,6 +458,22 @@ def test_grad_accumulates_over_reuse():
     y = x * x  # dy/dx = 2x through two paths
     y.backward()
     assert np.isclose(x.grad, 4.0)
+
+
+def test_accum_never_writes_a_shared_gradient():
+    u = ad.Tensor(np.ones(3), requires_grad=True)
+    v = ad.Tensor(np.ones(3), requires_grad=True)
+    # the outer add hands one array to the inner add and to u; u then
+    # takes a second gradient, and the inner add passes its array on to v
+    b = ad.add(ad.add(u, v), u)
+    ad.tensor_sum(ad.mul_const(b, 1.0)).backward()
+    np.testing.assert_array_equal(v.grad, 1.0)
+    np.testing.assert_array_equal(u.grad, 2.0)
+    # a float64 term does not promote a float32 gradient
+    w = ad.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    ad._accum(w, np.ones(2, dtype=np.float32))
+    ad._accum(w, np.ones(2))
+    assert w.grad.dtype == np.float32
 
 
 def test_no_grad_records_no_graph():

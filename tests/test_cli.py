@@ -366,8 +366,10 @@ def test_failing_transcoder_exit_code(workdir, tmp_path, capsys):
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith(
         "error: external transcoder failed for transcode_")
-    # the quadruples before the failure leave no manifest that would parse
+    # the quadruples before the failure leave no manifest that would parse,
+    # and none of the WAVs they wrote
     assert not list(tmp_path.glob("q.jsonl*"))
+    assert not list(tmp_path.glob("q/q*.wav"))
 
 
 def test_other_rate_quadruples_rejected(workdir, checkpoint, tmp_path,

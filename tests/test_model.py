@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sesqa import ad, model, nn
 from sesqa.model import (INFER_BATCH, LATENT_DIM, MIN_INPUT_SAMPLES,
                          CheckpointError, Model, ModelConfig, load_checkpoint,
                          save_checkpoint)
@@ -43,6 +44,56 @@ def test_latent_dim_invariant_to_length(full_model):
         x = speechlike(seed=1, seconds=seconds).samples[None, :]
         z = full_model.encode(x)
         assert z.data.shape == (1, 200)
+
+
+def _unfused_encode(m, frames, train):
+    """Model.encode as separate ops: each BatchNorm then its own ReLU, and
+    the gated residual as g*h + (1-g)*f from seven autodiff ops."""
+    p, bns = m.params, m.bns
+    h = nn.mu_law_compand(ad.Tensor(m._prepare(frames)),
+                          ad.softplus(p["enc.m"]))
+    for i in range(4):
+        h = nn.conv1d(h, p["enc.pool%d.w" % i], p["enc.pool%d.b" % i])
+        h = nn.blurpool(ad.relu(bns["enc.pool%d.bn" % i](h, train)), 4)
+    for r in range(6):
+        f = bns["enc.res%d.bn_pre" % r](h, train)
+        for j in range(3):
+            f = nn.conv1d(ad.relu(f), p["enc.res%d.conv%d.w" % (r, j)],
+                          p["enc.res%d.conv%d.b" % (r, j)])
+            f = bns["enc.res%d.conv%d.bn" % (r, j)](f, train)
+        g = ad.reshape(ad.sigmoid(p["enc.res%d.gate" % r]), (1, -1, 1))
+        h = g * h + ad.add_const(ad.mul_const(g, -1.0), 1.0) * f
+    h = bns["enc.stats_bn"](nn.stats_pool(h), train)
+    h = nn.linear(h, p["enc.mlp0.w"], p["enc.mlp0.b"])
+    h = ad.relu(bns["enc.mlp0.bn"](h, train))
+    h = nn.linear(h, p["enc.mlp1.w"], p["enc.mlp1.b"])
+    return bns["enc.mlp1.bn"](h, train)
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_encode_matches_unfused_ops(monkeypatch, train):
+    # float64, so that only the order of summation can differ
+    monkeypatch.setattr(model, "DTYPE", np.float64)
+    m = Model(ModelConfig(channel_mult=0.125, seed=5))
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-0.9, 0.9, size=(6, 4096))
+    w = rng.normal(size=(6, LATENT_DIM))
+    out = []
+    for encode in (m.encode, lambda x, train: _unfused_encode(m, x, train)):
+        for t in m.params.values():
+            t.grad = None
+        z = encode(x, train=train)
+        ad.mean(z * ad.Tensor(w)).backward()
+        out.append((z.data, {n: t.grad for n, t in m.params.items()
+                             if t.grad is not None}))
+    (z, grads), (z_ref, grads_ref) = out
+    np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-10)
+    assert grads.keys() == grads_ref.keys() and len(grads) > 100
+    for name, g_ref in grads_ref.items():
+        # the biases in front of a train-mode BatchNorm have a gradient
+        # that is zero in exact arithmetic, so 1e-15 is added to the bound
+        err = np.abs(grads[name] - g_ref).max()
+        assert err <= 1e-10 * np.abs(g_ref).max() + 1e-15, (name, err)
 
 
 def test_too_short_input_rejected(small_model):
