@@ -163,9 +163,6 @@ def cmd_train(args) -> int:
              if getattr(args, k) is not None}
     mult = given.pop("channels", ModelConfig.channel_mult)
     cfg = TrainConfig(**given)
-    if cfg.batch_size < 1:
-        raise UsageError("batch size must be at least 1, got %d"
-                         % cfg.batch_size)
     for path in filter(None, (args.out, args.log)):
         _check_new_file(path)
 

@@ -2,7 +2,8 @@
 
 The encoder maps raw 48 kHz frames to 200-dim latents: learnable mu-law
 companding, four conv/BN/ReLU/BlurPool blocks (x4 downsampling each), six
-gated residual blocks, time statistics pooling, and a two-layer MLP.
+gated residual blocks, time statistics pooling, and a two-layer MLP. Each
+block is one row of BLOCKS, which both builds its parameters and runs it.
 Heads read latents (or concatenated latent pairs) and produce the score,
 classification probabilities, and measure regressions.
 """
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,10 +45,14 @@ HEADS = {"jnd": (True, False, True), "dt": (False, False, True),
 
 def _head_layers(name: str) -> tuple:
     """Parameter-name prefixes of a head's linear layers, input first."""
-    _, hidden, _ = HEADS[name]
-    if hidden:
+    if HEADS[name][1]:   # a hidden layer
         return ("head.%s.l0." % name, "head.%s.l1." % name)
     return ("head.%s." % name,)
+
+
+def _uniform(rng, fan_in, shape):
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class CheckpointError(ValueError):
@@ -63,10 +70,6 @@ class ModelConfig:
         return max(1, int(round(n * self.channel_mult)))
 
 
-def _softplus_inverse(y: float) -> float:
-    return float(np.log(np.expm1(y)))
-
-
 class Model:
     """All parameters plus forward passes. Single-writer during training;
     immutable (and therefore freely shareable) in eval mode. A residual
@@ -81,69 +84,42 @@ class Model:
 
     # ------------------------------------------------------------ setup
     def _param(self, name, array):
-        t = Tensor(np.asarray(array, dtype=DTYPE), requires_grad=True)
-        self.params[name] = t
-        return t
+        self.params[name] = Tensor(np.asarray(array, dtype=DTYPE),
+                                   requires_grad=True)
 
-    def _bn(self, name, num_features):
+    def _bn(self, name, num_features) -> int:
         bn = nn.BatchNorm(num_features, dtype=DTYPE)
         self.bns[name] = bn
         self.params[name + ".gamma"] = bn.gamma
         self.params[name + ".beta"] = bn.beta
-        return bn
+        return num_features
 
-    def _linear_init(self, rng, fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    def _layer(self, rng, name, c_in, width, taps=None) -> int:
+        """`name.w`, a (width, c_in, taps) conv1d or (c_in, width) linear
+        weight; a zero bias `name.b`; their BatchNorm `name.bn`."""
+        shape = (c_in, width) if taps is None else (width, c_in, taps)
+        self._param(name + ".w", _uniform(rng, c_in * (taps or 1), shape))
+        self._param(name + ".b", np.zeros(width))
+        return self._bn(name + ".bn", width)
 
-    def _conv_init(self, rng, f, c, k):
-        bound = 1.0 / np.sqrt(c * k)
-        return rng.uniform(-bound, bound, size=(f, c, k))
+    def _run_layer(self, name, h, train, relu):
+        """The conv1d or linear layer `name`, then its BatchNorm."""
+        w, b = self.params[name + ".w"], self.params[name + ".b"]
+        h = (nn.conv1d if w.data.ndim == 3 else nn.linear)(h, w, b)
+        return self.bns[name + ".bn"](h, train, relu=relu)
 
     def _build(self):
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        ch = cfg.ch
-
-        self._param("enc.m", _softplus_inverse(8.0))
-
-        pool_channels = [ch(32), ch(64), ch(128), ch(256)]
-        c_in = 1
-        for i, f in enumerate(pool_channels):
-            self._param("enc.pool%d.w" % i, self._conv_init(rng, f, c_in, 4))
-            self._param("enc.pool%d.b" % i, np.zeros(f))
-            self._bn("enc.pool%d.bn" % i, f)
-            c_in = f
-
-        self.res_channels = (ch(512), ch(512), ch(256))
-        for r in range(6):
-            self._bn("enc.res%d.bn_pre" % r, c_in)
-            widths = [(self.res_channels[0], c_in, 1),
-                      (self.res_channels[1], self.res_channels[0], 3),
-                      (self.res_channels[2], self.res_channels[1], 1)]
-            for j, (f, c, k) in enumerate(widths):
-                self._param("enc.res%d.conv%d.w" % (r, j),
-                            self._conv_init(rng, f, c, k))
-                self._param("enc.res%d.conv%d.b" % (r, j), np.zeros(f))
-                self._bn("enc.res%d.conv%d.bn" % (r, j), f)
-            self._param("enc.res%d.gate" % r, np.full(c_in, 3.0))
-
-        stats_dim = 2 * c_in
-        self.stats_dim = stats_dim
-        self._bn("enc.stats_bn", stats_dim)
-        hidden = ch(1024)
-        self._param("enc.mlp0.w", self._linear_init(rng, stats_dim, hidden))
-        self._param("enc.mlp0.b", np.zeros(hidden))
-        self._bn("enc.mlp0.bn", hidden)
-        self._param("enc.mlp1.w", self._linear_init(rng, hidden, LATENT_DIM))
-        self._param("enc.mlp1.b", np.zeros(LATENT_DIM))
-        self._bn("enc.mlp1.bn", LATENT_DIM)
+        c = 1
+        for name, build, _ in BLOCKS:
+            c = build(self, rng, name, c)
 
         D = LATENT_DIM
-        self._param("head.score.w", self._linear_init(rng, D, 1))
+        self._param("head.score.w", _uniform(rng, D, (D, 1)))
         self._param("head.score.b", np.zeros(1))
         # the draw of a deleted pair-score head: later heads keep their init
-        self._linear_init(rng, 2 * D, 1)
+        _uniform(rng, 2 * D, (2 * D, 1))
 
         widths = {"jnd": 1, "dt": cfg.n_kinds + 1,  # +1: the clean class
                   "sd": 1, "ds": cfg.n_kinds,
@@ -152,15 +128,59 @@ class Model:
             dims = ((2 * D if pair else D,)
                     + ((HEAD_HIDDEN,) if hidden else ()) + (widths[name],))
             for prefix, din, dout in zip(_head_layers(name), dims, dims[1:]):
-                self._param(prefix + "w", self._linear_init(rng, din, dout))
+                self._param(prefix + "w", _uniform(rng, din, (din, dout)))
                 self._param(prefix + "b", np.zeros(dout))
             self._bn("head.%s.bn" % name, dims[-1])
 
+    # ---------------------------------------------------- encoder blocks
+    # Rows of BLOCKS: build(model, rng, name, c_in) makes a block's params
+    # and returns its width; forward(model, name, h, train) runs it. Both
+    # call nn/ad by module attribute, so wrappers put there see each call.
+    def _mu_build(self, rng, name, c_in):
+        self._param("enc.m", np.log(np.expm1(8.0)))   # softplus(enc.m) = 8
+        return c_in
+
+    def _mu_forward(self, name, h, train):
+        return nn.mu_law_compand(h, ad.softplus(self.params["enc.m"]))
+
+    def _pool_build(self, rng, name, c_in, width):
+        return self._layer(rng, name, c_in, self.config.ch(width), taps=4)
+
+    def _pool_forward(self, name, h, train):
+        return nn.blurpool(self._run_layer(name, h, train, relu=True), 4)
+
+    def _res_build(self, rng, name, c_in):
+        c = self._bn(name + ".bn_pre", c_in)
+        for j, (width, taps) in enumerate(((512, 1), (512, 3), (256, 1))):
+            c = self._layer(rng, "%s.conv%d" % (name, j), c,
+                            self.config.ch(width), taps=taps)
+        self._param(name + ".gate", np.full(c_in, 3.0))
+        return c_in
+
+    def _res_forward(self, name, h, train):
+        f = self.bns[name + ".bn_pre"](h, train, relu=True)
+        for j in range(3):
+            f = self._run_layer(name + ".conv%d" % j, f, train, relu=j < 2)
+        return nn.gated_residual(h, f, self.params[name + ".gate"])
+
+    def _stats_build(self, rng, name, c_in):
+        self.stats_dim = self._bn(name + "_bn", 2 * c_in)
+        return self.stats_dim
+
+    def _stats_forward(self, name, h, train):
+        return self.bns[name + "_bn"](nn.stats_pool(h), train)
+
+    def _mlp_build(self, rng, name, c_in):
+        hidden = self._layer(rng, name + "0", c_in, self.config.ch(1024))
+        return self._layer(rng, name + "1", hidden, LATENT_DIM)
+
+    def _mlp_forward(self, name, h, train):
+        h = self._run_layer(name + "0", h, train, relu=True)
+        return self._run_layer(name + "1", h, train, relu=False)
+
     # ---------------------------------------------------------- forward
     def _prepare(self, frames: np.ndarray) -> np.ndarray:
-        x = np.asarray(frames, dtype=DTYPE)
-        if x.ndim == 1:
-            x = x[None, :]
+        x = np.atleast_2d(np.asarray(frames, dtype=DTYPE))
         if x.shape[1] < MIN_INPUT_SAMPLES:
             raise ValueError("input too short: %d < %d samples"
                              % (x.shape[1], MIN_INPUT_SAMPLES))
@@ -171,31 +191,10 @@ class Model:
 
     def encode(self, frames: np.ndarray, train: bool = False) -> Tensor:
         """(B,T) raw audio -> (B,200) latents."""
-        p, bns = self.params, self.bns
-        x = Tensor(self._prepare(frames), requires_grad=False)
-        mu = ad.softplus(p["enc.m"])
-        h = nn.mu_law_compand(x, mu)
-
-        for i in range(4):
-            h = nn.conv1d(h, p["enc.pool%d.w" % i], p["enc.pool%d.b" % i])
-            h = bns["enc.pool%d.bn" % i](h, train, relu=True)
-            h = nn.blurpool(h, 4)
-
-        for r in range(6):
-            f = bns["enc.res%d.bn_pre" % r](h, train, relu=True)
-            for j in range(3):
-                f = nn.conv1d(f, p["enc.res%d.conv%d.w" % (r, j)],
-                              p["enc.res%d.conv%d.b" % (r, j)])
-                f = bns["enc.res%d.conv%d.bn" % (r, j)](f, train, relu=j < 2)
-            h = nn.gated_residual(h, f, p["enc.res%d.gate" % r])
-
-        h = nn.stats_pool(h)
-        h = bns["enc.stats_bn"](h, train)
-        h = nn.linear(h, p["enc.mlp0.w"], p["enc.mlp0.b"])
-        h = bns["enc.mlp0.bn"](h, train, relu=True)
-        h = nn.linear(h, p["enc.mlp1.w"], p["enc.mlp1.b"])
-        z = bns["enc.mlp1.bn"](h, train)
-        return z
+        h = Tensor(self._prepare(frames), requires_grad=False)
+        for name, _, forward in BLOCKS:
+            h = forward(self, name, h, train)
+        return h
 
     def infer(self, frames) -> tuple[np.ndarray, np.ndarray]:
         """Forward-only (B,T) audio -> ((B,200) latents, (B,) scores).
@@ -266,40 +265,46 @@ class Model:
             if np.shape(arrays[name]) != a.shape:
                 raise CheckpointError("shape mismatch for %s" % name)
         for name, t in self.params.items():
-            t.data = np.asarray(arrays[name], dtype=DTYPE).copy()
+            t.data = np.array(arrays[name], DTYPE)
         for name, bn in self.bns.items():
-            bn.running_mean = np.asarray(arrays[name + ".running_mean"],
-                                         dtype=DTYPE).copy()
-            bn.running_var = np.asarray(arrays[name + ".running_var"],
-                                        dtype=DTYPE).copy()
+            bn.running_mean = np.array(arrays[name + ".running_mean"], DTYPE)
+            bn.running_var = np.array(arrays[name + ".running_var"], DTYPE)
+
+
+# The encoder, input first: (name, build, forward) per block. The order
+# fixes the RNG draws and the checkpoint's tensor order.
+BLOCKS = (
+    ("enc.mu", Model._mu_build, Model._mu_forward),
+    *(("enc.pool%d" % i, partial(Model._pool_build, width=32 << i),
+       Model._pool_forward) for i in range(4)),
+    *(("enc.res%d" % r, Model._res_build, Model._res_forward)
+      for r in range(6)),
+    ("enc.stats", Model._stats_build, Model._stats_forward),
+    ("enc.mlp", Model._mlp_build, Model._mlp_forward))
 
 
 def save_checkpoint(model: Model, path) -> None:
+    """Write `model` to `path` by way of `<path>.tmp`, so that a failed
+    write leaves a file already at `path` as it was."""
     arrays = model.state_arrays()
     directory = [{"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
                  for k, v in arrays.items()]
-    norm = None
-    if model.normalizer is not None:
-        norm = model.normalizer.to_dict()
-    meta = {
-        "config": {
-            "channel_mult": model.config.channel_mult,
-            "n_kinds": model.config.n_kinds,
-            "measure_names": list(model.config.measure_names),
-            "seed": model.config.seed,
-        },
-        "normalizer": norm,
-        "tensors": directory,
-    }
-    blob = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for entry in directory:
-            f.write(np.ascontiguousarray(arrays[entry["name"]]).astype(
-                entry["dtype"]).tobytes())
+    norm = None if model.normalizer is None else model.normalizer.to_dict()
+    blob = json.dumps({"config": asdict(model.config), "normalizer": norm,
+                       "tensors": directory}).encode("utf-8")
+    tmp = "%s.tmp" % path
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+            f.write(blob)
+            for entry in directory:
+                f.write(np.ascontiguousarray(arrays[entry["name"]]).astype(
+                    entry["dtype"]).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _is_int(v) -> bool:

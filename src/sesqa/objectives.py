@@ -100,28 +100,31 @@ def loss_jnd(p: Tensor, targets) -> Tensor:
     return ad.bce_loss(p, np.asarray(targets))
 
 
-def loss_dt(p: Tensor, targets) -> Tensor:
-    """Multi-label degradation-type BCE, summed over classes."""
+def _row_loss(what: str, p: Tensor, targets, per_item, mask=None) -> Tensor:
+    """`per_item(targets)`, times `mask` when given, summed over each row
+    of `p` and averaged over the rows; a 1-D `p` is one row."""
     targets = np.asarray(targets)
     if p.data.shape != targets.shape:
-        raise ValueError("degradation-type shape mismatch: %r vs %r"
-                         % (p.data.shape, targets.shape))
-    per = ad.bce_loss(p, targets, reduce="none")
+        raise ValueError("%s shape mismatch: %r vs %r"
+                         % (what, p.data.shape, targets.shape))
+    per = per_item(targets)
+    if mask is not None:
+        per = per * as_tensor(np.asarray(mask, dtype=p.data.dtype))
     if p.data.ndim == 1:
         return ad.tensor_sum(per)
     return ad.mean(ad.tensor_sum(per, axis=1))
+
+
+def loss_dt(p: Tensor, targets) -> Tensor:
+    """Multi-label degradation-type BCE, summed over classes."""
+    return _row_loss("degradation-type", p, targets,
+                     lambda t: ad.bce_loss(p, t, reduce="none"))
 
 
 def loss_ds(p: Tensor, targets) -> Tensor:
     """Degradation-strength L1 summed over kinds (inactive kinds target 0)."""
-    targets = np.asarray(targets)
-    if p.data.shape != targets.shape:
-        raise ValueError("degradation-strength shape mismatch: %r vs %r"
-                         % (p.data.shape, targets.shape))
-    per = ad.absolute(p - as_tensor(targets))
-    if p.data.ndim == 1:
-        return ad.tensor_sum(per)
-    return ad.mean(ad.tensor_sum(per, axis=1))
+    return _row_loss("degradation-strength", p, targets,
+                     lambda t: ad.absolute(p - as_tensor(t)))
 
 
 def loss_mr(p: Tensor, targets, mask=None) -> Tensor:
@@ -129,16 +132,8 @@ def loss_mr(p: Tensor, targets, mask=None) -> Tensor:
 
     Targets must already be normalized; `mask` is 1 for usable entries.
     """
-    targets = np.asarray(targets)
-    if p.data.shape != targets.shape:
-        raise ValueError("measure-regression shape mismatch: %r vs %r"
-                         % (p.data.shape, targets.shape))
-    per = ad.absolute(p - as_tensor(targets))
-    if mask is not None:
-        per = per * as_tensor(np.asarray(mask, dtype=p.data.dtype))
-    if p.data.ndim == 1:
-        return ad.tensor_sum(per)
-    return ad.mean(ad.tensor_sum(per, axis=1))
+    return _row_loss("measure-regression", p, targets,
+                     lambda t: ad.absolute(p - as_tensor(t)), mask)
 
 
 def total_loss(components: dict, loss_mask: tuple) -> tuple:

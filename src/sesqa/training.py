@@ -45,8 +45,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Refuse the settings no run can use, before any data is read."""
         object.__setattr__(self, "loss_mask",
                            objectives.check_loss_mask(self.loss_mask))
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1, got %d" % self.epochs)
+        if self.batch_size < 1:
+            raise ValueError("batch size must be at least 1, got %d"
+                             % self.batch_size)
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError("learning rate must be finite and positive, "
+                             "got %r" % self.base_lr)
 
 
 # ---------------------------------------------------------- data loading

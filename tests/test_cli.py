@@ -168,14 +168,32 @@ def test_train_bad_loss_mask(workdir, tmp_path):
     assert rc == EXIT_USAGE
 
 
-@pytest.mark.parametrize("batch", ["0", "-1"])
-def test_train_batch_size_below_one(workdir, tmp_path, batch, capsys):
+@pytest.mark.parametrize("flags, message", [
+    (["--batch-size", "0"], "batch size"),
+    (["--batch-size", "-1"], "batch size"),
+    (["--epochs", "0"], "epochs"),
+    (["--epochs", "-1"], "epochs"),
+    (["--lr", "nan"], "learning rate"),
+    (["--lr", "inf"], "learning rate"),
+    (["--lr", "0"], "learning rate"),
+], ids=["0", "-1", "epochs0", "epochs-1", "lr-nan", "lr-inf", "lr0"])
+def test_train_batch_size_below_one(workdir, tmp_path, flags, message,
+                                    capsys, monkeypatch):
+    """A batch size, epoch count or learning rate that no run can use
+    exits 2 before any data is read or any training step runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("called with an unusable setting")
+
+    monkeypatch.setattr(cli, "_load_quads", never)
+    monkeypatch.setattr(cli, "train", never)
     out = tmp_path / "x.ckpt"
     rc = main(["train", "--quadruples", str(workdir["manifest"]),
-               "--out", str(out), "--epochs", "1", "--batch-size", batch,
-               "--channels", "0.25", "--loss-mask", "mos"])
+               "--out", str(out), "--epochs", "1", "--channels", "0.25",
+               "--loss-mask", "mos"] + flags)
     assert rc == EXIT_USAGE
-    assert "batch size" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()
 
 

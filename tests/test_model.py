@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import struct
 import warnings
@@ -226,6 +227,28 @@ def test_checkpoint_files_identical(tmp_path, small_model):
     assert p0.read_bytes() == p1.read_bytes()
 
 
+def test_failed_save_keeps_the_old_checkpoint(tmp_path, small_model,
+                                              monkeypatch):
+    """A save that fails while it writes tensor data leaves the file
+    already at the path as it was, and no temporary file behind."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model, path)
+    first = path.read_bytes()
+
+    class Unreadable:   # a tensor whose data cannot be read
+        shape, dtype = (1,), np.dtype(np.float32)
+
+        def __array__(self, *args, **kwargs):
+            raise OSError("tensor data lost")
+
+    arrays = {**small_model.state_arrays(), "zz.lost": Unreadable()}
+    monkeypatch.setattr(small_model, "state_arrays", lambda: arrays)
+    with pytest.raises(OSError, match="tensor data lost"):
+        save_checkpoint(small_model, path)
+    assert path.read_bytes() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_checkpoint_error_cases(tmp_path, small_model):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage that is not a checkpoint")
@@ -338,3 +361,59 @@ def test_seed_changes_weights():
     # same seed: identical build
     m2 = Model(ModelConfig(channel_mult=0.25, seed=0))
     np.testing.assert_array_equal(w0, m2.params["enc.mlp0.w"].data)
+
+
+# ----------------------------------------------------------- layout
+
+LAYOUT_CONFIG = ModelConfig(channel_mult=0.125, seed=5,
+                            measure_names=("ssnr", "llr"))
+# state_arrays() of LAYOUT_CONFIG: the number of tensors, and the SHA-256
+# prefixes of their ordered [name, shape] list and of their bytes in that
+# order, so that a change to a name, a width, the creation order or the
+# RNG draws shows here before it changes every checkpoint
+LAYOUT_GOLDEN = (217, "f63f1d10dfdeac5e", "19b4108d0bf53a49")
+ENCODER_BLOCKS = (("enc.mu",) + tuple("enc.pool%d" % i for i in range(4))
+                  + tuple("enc.res%d" % r for r in range(6))
+                  + ("enc.stats", "enc.mlp"))
+
+
+def _sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _block_of(name: str) -> str:
+    """The encoder block that a parameter or BatchNorm name belongs to."""
+    if name == "enc.m":
+        return "enc.mu"
+    for prefix in ("enc.stats", "enc.mlp"):
+        if name.startswith(prefix):
+            return prefix
+    return ".".join(name.split(".")[:2])
+
+
+def test_state_layout_golden():
+    arrays = Model(LAYOUT_CONFIG).state_arrays()
+    layout = [[name, list(a.shape)] for name, a in arrays.items()]
+    data = b"".join(np.ascontiguousarray(a).tobytes()
+                    for a in arrays.values())
+    assert (len(layout), _sha16(json.dumps(layout).encode()),
+            _sha16(data)) == LAYOUT_GOLDEN
+
+
+def test_each_block_builds_its_own_parameters():
+    assert tuple(name for name, _, _ in model.BLOCKS) == ENCODER_BLOCKS
+    full = Model(LAYOUT_CONFIG)
+    shell = Model.__new__(Model)    # no parameters yet
+    shell.config, shell.params, shell.bns = LAYOUT_CONFIG, {}, {}
+    rng, width = np.random.default_rng(LAYOUT_CONFIG.seed), 1
+    for name, build, _ in model.BLOCKS:
+        before = set(shell.params) | set(shell.bns)
+        width = build(shell, rng, name, width)
+        made = (set(shell.params) | set(shell.bns)) - before
+        assert made and {_block_of(n) for n in made} == {name}, name
+    # the rows make every encoder tensor, in order, with the same draws
+    assert list(shell.params) == [n for n in full.params
+                                  if n.startswith("enc.")]
+    assert list(shell.bns) == [n for n in full.bns if n.startswith("enc.")]
+    for name, t in shell.params.items():
+        np.testing.assert_array_equal(t.data, full.params[name].data)
