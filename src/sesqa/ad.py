@@ -98,9 +98,6 @@ class Tensor:
     def __neg__(self):
         return mul_const(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
@@ -181,18 +178,6 @@ def add_const(a, c: float):
     return _make(a.data + c, (a,), backward)
 
 
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-
-    def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), backward)
-
-
 def relu(a):
     a = as_tensor(a)
     y = np.maximum(a.data, 0.0)
@@ -209,16 +194,6 @@ def sigmoid(a):
 
     def backward(g):
         _accum(a, g * y * (1.0 - y))
-
-    return _make(y, (a,), backward)
-
-
-def exp(a):
-    a = as_tensor(a)
-    y = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * y)
 
     return _make(y, (a,), backward)
 
@@ -274,17 +249,6 @@ def mean(a, axis=None):
         axes = (axis,) if isinstance(axis, int) else axis
         n = int(np.prod([a.data.shape[ax] for ax in axes]))
     return mul_const(tensor_sum(a, axis=axis), 1.0 / n)
-
-
-def clamp_max(a, hi: float):
-    """min(a, hi); gradient is zero where the cap is active."""
-    a = as_tensor(a)
-    mask = a.data < hi
-
-    def backward(g):
-        _accum(a, g * mask)
-
-    return _make(np.minimum(a.data, hi), (a,), backward)
 
 
 def clip(a, lo: float, hi: float):

@@ -55,18 +55,6 @@ class AudioFrame:
         return AudioFrame(samples, self.sample_rate, self.source_id)
 
 
-@dataclass(frozen=True)
-class FrameSlice:
-    offset_samples: int
-    length_samples: int
-
-    def __post_init__(self):
-        if self.offset_samples < 0:
-            raise ValueError("offset_samples must be >= 0")
-        if self.length_samples <= 0:
-            raise ValueError("length_samples must be > 0")
-
-
 def _find_chunk(data: bytes, fourcc: bytes, start: int) -> tuple[int, int]:
     """Return (payload offset, payload size) of the first `fourcc` chunk."""
     pos = start
@@ -192,14 +180,16 @@ def peak_normalize(frame: AudioFrame) -> AudioFrame:
     return frame.with_samples(frame.samples / peak)
 
 
-def extract_slice(frame: AudioFrame, sl: FrameSlice) -> AudioFrame:
-    if sl.offset_samples + sl.length_samples > len(frame.samples):
-        raise IndexError(
-            "slice [%d, %d) out of bounds for frame of %d samples"
-            % (sl.offset_samples, sl.offset_samples + sl.length_samples,
-               len(frame.samples)))
-    return frame.with_samples(
-        frame.samples[sl.offset_samples:sl.offset_samples + sl.length_samples])
+def extract_slice(frame: AudioFrame, offset: int, length: int) -> AudioFrame:
+    """Samples [offset, offset + length) of `frame` as a new frame."""
+    if offset < 0:
+        raise ValueError("offset must be >= 0")
+    if length <= 0:
+        raise ValueError("length must be > 0")
+    if offset + length > len(frame.samples):
+        raise IndexError("slice [%d, %d) out of bounds for frame of %d samples"
+                         % (offset, offset + length, len(frame.samples)))
+    return frame.with_samples(frame.samples[offset:offset + length])
 
 
 def is_usable(samples: np.ndarray, sample_rate: int) -> bool:

@@ -67,6 +67,9 @@ def resolve_option(name, flag_value, file_config, default=None, cast=str):
         value = flag_value
     if value is None:
         return None
+    # a config file's true or 2.7 must not pass as 1 or 2
+    if isinstance(value, bool) or (cast is int and isinstance(value, float)):
+        raise UsageError("bad value for %s: %r" % (name, value))
     try:
         return cast(value)
     except (TypeError, ValueError) as e:

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio import (AudioFrame, CANONICAL_RATE, FrameSlice, extract_slice,
-                     is_usable, peak_normalize, read_wav, read_wav_48k,
-                     write_wav)
+from ..audio import (AudioFrame, CANONICAL_RATE, extract_slice, is_usable,
+                     peak_normalize, read_wav, read_wav_48k, write_wav)
 from ..manifest import read_jsonl, str_field
 from .chains import DegradationSpec, sample_chain
 from .kernels import apply_chain
@@ -84,7 +83,7 @@ class CleanPool:
             if len(frame) < n_parent:
                 continue
             off = int(rng.integers(0, len(frame) - n_parent + 1))
-            cut = extract_slice(frame, FrameSlice(off, n_parent))
+            cut = extract_slice(frame, off, n_parent)
             if not is_usable(cut.samples, cut.sample_rate):
                 continue
             return peak_normalize(cut)
@@ -148,11 +147,9 @@ def generate_quadruple(pool: CleanPool, rng: np.random.Generator,
     max_d = int(MAX_DELAY_SECONDS * CANONICAL_RATE)
     d = int(rng.integers(0, max_d + 1))
 
-    cut0 = FrameSlice(0, n_cut)
-    cutd = FrameSlice(d, n_cut)
     return Quadruple(
-        x_ik=extract_slice(x_i, cut0), x_il=extract_slice(x_i, cutd),
-        x_jk=extract_slice(x_j, cut0), x_jl=extract_slice(x_j, cutd),
+        x_ik=extract_slice(x_i, 0, n_cut), x_il=extract_slice(x_i, d, n_cut),
+        x_jk=extract_slice(x_j, 0, n_cut), x_jl=extract_slice(x_j, d, n_cut),
         chain_i=chain_i, chain_j=chain_j,
         delay_ms=d * 1000.0 / CANONICAL_RATE, parent_id=parent.source_id)
 

@@ -38,22 +38,12 @@ def loss_mos(s: Tensor, targets) -> Tensor:
     return ad.l1_loss(s, np.asarray(targets))
 
 
-def loss_rank(s_i: Tensor, s_j: Tensor, targets_i=None, targets_j=None,
-              annotated=False) -> Tensor:
-    """Pairwise hinge: mean of max(0, s_j - s_i + margin).
-
-    Programmatic pairs use the fixed margin ALPHA. Annotated pairs (with
-    ground-truth scores, ordered so targets_i >= targets_j) use the
-    tighter margin min(ALPHA, s*_i - s*_j).
+def loss_rank(s_i: Tensor, s_j: Tensor, margin=ALPHA) -> Tensor:
+    """Pairwise hinge: mean of max(0, s_j - s_i + margin), where s_i should
+    score higher. `margin` is one value or one per pair: programmatic
+    pairs use ALPHA; annotated pairs, ordered so that their labels have
+    t_i >= t_j, use min(ALPHA, t_i - t_j), computed by the caller.
     """
-    if annotated:
-        if targets_i is None or targets_j is None:
-            raise ValueError("annotated ranking pairs need both target "
-                             "score arrays")
-        margin = np.minimum(ALPHA, np.asarray(targets_i, dtype=np.float64)
-                            - np.asarray(targets_j, dtype=np.float64))
-    else:
-        margin = ALPHA
     return ad.mean(ad.relu(s_j - s_i + as_tensor(
         np.broadcast_to(np.asarray(margin, dtype=s_i.data.dtype),
                         s_i.data.shape).copy())))
@@ -61,7 +51,7 @@ def loss_rank(s_i: Tensor, s_j: Tensor, targets_i=None, targets_j=None,
 
 def _separation_term(a: Tensor, b: Tensor) -> Tensor:
     """Margin term pushing distinguishable pairs at least BETA apart."""
-    gap = ad.clamp_max(ad.absolute(a - b), BETA)
+    gap = ad.clip(ad.absolute(a - b), -np.inf, BETA)
     return ad.mul_const(ad.add_const(ad.mul_const(gap, -1.0), BETA),
                         1.0 / (2.0 * BETA))
 

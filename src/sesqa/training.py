@@ -129,17 +129,23 @@ def augment(frames, rng: np.random.Generator):
 
 @dataclass
 class Batch:
-    """One assembled training batch (all frames 1 s, float32)."""
+    """One assembled training batch.
 
-    quad_frames: np.ndarray          # (B_q, 4, T) in ik, il, jk, jl order
-    dt_targets: np.ndarray           # (B_q, 2, n_dt) for chains i and j
-    ds_targets: np.ndarray           # (B_q, 2, n_kinds)
-    mr_targets: np.ndarray = None    # (B_q, M) normalized, with mask
+    `frames` is one float32 matrix of 1 s frames, one row per encoder
+    input in the encoder's order: the ik, il, jk, jl cuts of each of the
+    n_q quadruples, then the n_m MOS items, then the a and b frames of
+    each of the n_j JND pairs. The counts are the lengths of
+    `dt_targets`, `mos_targets` and `jnd_targets`; an absent source has
+    empty targets.
+    """
+
+    frames: np.ndarray               # (4 n_q + n_m + 2 n_j, T)
+    dt_targets: np.ndarray           # (n_q, 2, n_dt) for chains i and j
+    ds_targets: np.ndarray           # (n_q, 2, n_kinds)
+    mos_targets: np.ndarray          # (n_m,)
+    jnd_targets: np.ndarray          # (n_j,) 1 = noticeable
+    mr_targets: np.ndarray = None    # (n_q, M) normalized, with mask
     mr_mask: np.ndarray = None
-    mos_frames: np.ndarray = None    # (B_m, T)
-    mos_targets: np.ndarray = None
-    jnd_frames: np.ndarray = None    # (B_j, 2, T)
-    jnd_targets: np.ndarray = None
 
 
 def _measure_targets(measure_lookup, names, normalizer, n_quads):
@@ -167,9 +173,11 @@ def assemble_batch(quads, indices, rng: np.random.Generator,
     """Build a Batch from quadruples `indices` plus MOS/JND side data.
 
     Item shares follow BATCH_RATIOS (quadruples/MOS/JND); missing sources
-    degrade gracefully to a quadruple-only batch. `measure_targets` is
-    the (targets, mask) pair of _measure_targets; the batch takes the
-    rows of `indices`.
+    degrade gracefully to a quadruple-only batch. Each item is augmented
+    straight into its rows of `frames`. The RNG order is: the quadruples'
+    augments, then the MOS picks and their augments, then the JND picks
+    and theirs. `measure_targets` is the (targets, mask) pair of
+    _measure_targets; the batch takes the rows of `indices`.
     """
     if len(indices) == 0:
         raise ValueError("empty quadruple selection")
@@ -177,43 +185,38 @@ def assemble_batch(quads, indices, rng: np.random.Generator,
     r_q, r_m, r_j = BATCH_RATIOS
     n_m = int(round(n_q * r_m / r_q)) if mos_items else 0
     n_j = int(round(n_q * r_j / r_q)) if jnd_items else 0
+    picked = [quads[idx] for idx in indices]
+    labels = []
 
-    q0 = quads[indices[0]]
-    qf = np.empty((n_q, 4, FRAME_SAMPLES), dtype=np.float32)
-    dt = np.empty((n_q, 2, len(q0.dt_targets_i)), dtype=np.float32)
-    ds = np.empty((n_q, 2, len(q0.ds_targets_i)), dtype=np.float32)
-    for row, idx in enumerate(indices):
-        q = quads[idx]
-        qf[row] = augment([f.samples for f in q.frames()], rng)
-        dt[row, 0], dt[row, 1] = q.dt_targets_i, q.dt_targets_j
-        ds[row, 0], ds[row, 1] = q.ds_targets_i, q.ds_targets_j
-    batch = Batch(quad_frames=qf, dt_targets=dt, ds_targets=ds)
+    def signals():
+        """Each item's signals in row order; a side source's picks are
+        drawn only once every row above it is augmented."""
+        for q in picked:
+            yield [f.samples for f in q.frames()]
+        for items, n in ((mos_items, n_m), (jnd_items, n_j)):
+            for pick in rng.integers(0, len(items), size=n) if n else ():
+                *item, label = items[pick]
+                labels.append(label)
+                yield item
 
+    frames = np.empty((4 * n_q + n_m + 2 * n_j, FRAME_SAMPLES),
+                      dtype=np.float32)
+    row = 0
+    for item in signals():
+        frames[row:row + len(item)] = augment(item, rng)
+        row += len(item)
+    side = np.array(labels, dtype=np.float32)    # MOS, then JND labels
+    batch = Batch(
+        frames=frames,
+        dt_targets=np.array([(q.dt_targets_i, q.dt_targets_j) for q in picked],
+                            dtype=np.float32),
+        ds_targets=np.array([(q.ds_targets_i, q.ds_targets_j) for q in picked],
+                            dtype=np.float32),
+        mos_targets=side[:n_m], jnd_targets=side[n_m:])
     if measure_targets is not None:
         targets, mask = measure_targets
         if mask[indices].any():
             batch.mr_targets, batch.mr_mask = targets[indices], mask[indices]
-
-    if n_m:
-        picks = rng.integers(0, len(mos_items), size=n_m)
-        mf = np.empty((n_m, FRAME_SAMPLES), dtype=np.float32)
-        mt = np.empty(n_m, dtype=np.float32)
-        for row, pick in enumerate(picks):
-            samples, mos = mos_items[pick]
-            mf[row] = augment([samples], rng)[0]
-            mt[row] = mos
-        batch.mos_frames, batch.mos_targets = mf, mt
-
-    if n_j:
-        picks = rng.integers(0, len(jnd_items), size=n_j)
-        jf = np.empty((n_j, 2, FRAME_SAMPLES), dtype=np.float32)
-        jt = np.empty(n_j, dtype=np.float32)
-        for row, pick in enumerate(picks):
-            a, b, label = jnd_items[pick]
-            fa, fb = augment([a, b], rng)
-            jf[row, 0], jf[row, 1] = fa, fb
-            jt[row] = label
-        batch.jnd_frames, batch.jnd_targets = jf, jt
     return batch
 
 
@@ -334,17 +337,15 @@ def _batch_losses(model: Model, batch: Batch, loss_mask: tuple) -> dict:
     encoder would see one frame.
     """
     comp = {}
+    n_q, n_m, n_j = map(len, (batch.dt_targets, batch.mos_targets,
+                              batch.jnd_targets))
+    frames = batch.frames
     # quadruple frames only matter when a quadruple-fed loss is enabled
-    quad_losses = {"rank", "cons", "sd", "dt", "ds", "mr"}
-    n_q = batch.quad_frames.shape[0] if quad_losses & set(loss_mask) else 0
-    n_m = 0 if batch.mos_frames is None else batch.mos_frames.shape[0]
-    n_j = 0 if batch.jnd_frames is None else batch.jnd_frames.shape[0]
-    if 4 * n_q + n_m + 2 * n_j < 2:
+    if not {"rank", "cons", "sd", "dt", "ds", "mr"} & set(loss_mask):
+        frames, n_q = frames[4 * n_q:], 0
+    if len(frames) < 2:
         return comp
-    stacks = [f.reshape(-1, FRAME_SAMPLES) for f, n in
-              ((batch.quad_frames, n_q), (batch.mos_frames, n_m),
-               (batch.jnd_frames, n_j)) if n]
-    z = model.encode(np.concatenate(stacks, axis=0), train=True)
+    z = model.encode(frames, train=True)
 
     if n_q:
         z_quad = _rows(z, 0, 4 * n_q)
@@ -387,17 +388,13 @@ def _batch_losses(model: Model, batch: Batch, loss_mask: tuple) -> dict:
             comp["mos"] = objectives.loss_mos(s_mos, batch.mos_targets)
         if "rank" in loss_mask and n_m >= 2:
             # pair up MOS items for annotated ranking, larger label first
-            order = np.arange(n_m - (n_m % 2))
-            a, b = order[0::2], order[1::2]
-            ta = batch.mos_targets[a]
-            tb = batch.mos_targets[b]
-            swap = tb > ta
-            hi = np.where(swap, b, a)
-            lo = np.where(swap, a, b)
+            t = batch.mos_targets.astype(np.float64)
+            a = np.arange(0, n_m - 1, 2)
+            swap = t[a + 1] > t[a]
+            hi, lo = np.where(swap, a + 1, a), np.where(swap, a, a + 1)
             r_ann = objectives.loss_rank(
                 ad.index_select(s_mos, hi), ad.index_select(s_mos, lo),
-                targets_i=batch.mos_targets[hi],
-                targets_j=batch.mos_targets[lo], annotated=True)
+                margin=np.minimum(objectives.ALPHA, t[hi] - t[lo]))
             comp["rank"] = ad.mul_const(comp["rank"] + r_ann, 0.5) \
                 if "rank" in comp else r_ann
 
@@ -497,8 +494,8 @@ def train(model: Model, config: TrainConfig, quads,
             log_file.close()
 
     if swa.count:
-        sample = last_batch.quad_frames.reshape(-1, FRAME_SAMPLES)
-        swa_finalize(swa, model, sample)
+        swa_finalize(swa, model,
+                     last_batch.frames[:4 * len(last_batch.dt_targets)])
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
     return log

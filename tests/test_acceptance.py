@@ -13,7 +13,7 @@ from scipy import stats as sstats
 
 import toyrun
 from sesqa import ad, nn, objectives
-from sesqa.audio import FrameSlice, extract_slice
+from sesqa.audio import extract_slice
 from sesqa.degrade import DegradationSpec, apply_degradation, sample_chain
 from sesqa.degrade.chains import FIRST_STAGE, SECOND_STAGE
 from sesqa.degrade.kinds import NATIVE_KINDS
@@ -263,7 +263,7 @@ def test_criterion_08_toy_end_to_end(toy_data, toy_full):
     r_rank = toyrun.heldout_rank(toy_full, held_q)
     assert r_rank < 0.25, "held-out R_RANK %.3f" % r_rank
 
-    clean = extract_slice(toyrun.make_utterance(9999), FrameSlice(0, RATE))
+    clean = extract_slice(toyrun.make_utterance(9999), 0, RATE)
     curve = strength_sweep(toy_full, clean, "additive_noise", seed=0)
     rho = sstats.spearmanr(curve["strengths"],
                            curve["mean_scores"]).statistic

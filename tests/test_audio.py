@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sesqa.audio import (AudioFormatError, AudioFrame, DegenerateInputError,
-                         FrameSlice, extract_slice, is_usable, peak_normalize,
-                         read_wav, read_wav_48k, write_wav)
+                         extract_slice, is_usable, peak_normalize, read_wav,
+                         read_wav_48k, write_wav)
 
 from conftest import speechlike, wav_bytes
 
@@ -148,10 +148,13 @@ def test_peak_normalize():
 
 def test_extract_slice_bounds():
     f = AudioFrame(np.arange(100, dtype=np.float32), 48000)
-    cut = extract_slice(f, FrameSlice(10, 20))
+    cut = extract_slice(f, 10, 20)
     np.testing.assert_array_equal(cut.samples, np.arange(10, 30))
     with pytest.raises(IndexError):
-        extract_slice(f, FrameSlice(90, 20))
+        extract_slice(f, 90, 20)
+    for offset, length in ((-1, 20), (10, 0), (10, -5)):
+        with pytest.raises(ValueError):
+            extract_slice(f, offset, length)
 
 
 def test_silence_gate():

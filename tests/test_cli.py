@@ -92,6 +92,13 @@ def test_resolve_option_precedence(monkeypatch):
     file_cfg = {"epochs": 5}
     assert resolve_option("epochs", None, {}, default=3, cast=int) == 3
     assert resolve_option("epochs", None, file_cfg, default=3, cast=int) == 5
+    # a config file's bool, or its float for an int setting, is refused
+    # rather than truncated, as a flag or SESQA_* value of "2.7" is
+    for name, value, cast in (("epochs", 2.7, int), ("seed", -3.9, int),
+                              ("batch_size", True, int),
+                              ("channels", True, float)):
+        with pytest.raises(UsageError, match="bad value for " + name):
+            resolve_option(name, None, {name: value}, cast=cast)
     monkeypatch.setenv("SESQA_EPOCHS", "7")
     assert resolve_option("epochs", None, file_cfg, default=3, cast=int) == 7
     assert resolve_option("epochs", 9, file_cfg, default=3, cast=int) == 9

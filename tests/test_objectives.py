@@ -29,11 +29,8 @@ def test_rank_identities():
     # tie pays the full margin
     assert np.isclose(loss_rank(T([2.0]), T([2.0])).data, 0.3)
     # annotated pair tightens the margin to the label gap
-    v = loss_rank(T([3.40]), T([3.45]), targets_i=[3.5], targets_j=[3.4],
-                  annotated=True)
+    v = loss_rank(T([3.40]), T([3.45]), margin=min(0.3, 3.5 - 3.4))
     assert np.isclose(v.data, 0.15)
-    with pytest.raises(ValueError):
-        loss_rank(T([3.0]), T([2.0]), annotated=True)
 
 
 def test_rank_translation_invariant():

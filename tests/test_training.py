@@ -235,13 +235,15 @@ def test_assemble_batch_ratios_and_targets():
     rng = np.random.default_rng(1)
     batch = assemble_batch(quads, np.arange(4), rng,
                            mos_items=mos_items, jnd_items=jnd_items)
-    assert batch.quad_frames.shape == (4, 4, FRAME_SAMPLES)
-    assert batch.mos_frames.shape[0] == 2    # 4 * 0.25/0.5
-    assert batch.jnd_frames.shape == (2, 2, FRAME_SAMPLES)
-    assert batch.dt_targets.shape[0] == 4
-    # no side data: quadruple-only batch
+    # 16 quadruple cuts, 2 MOS items (4 * 0.25/0.5), 2 JND pairs
+    assert batch.frames.shape == (16 + 2 + 4, FRAME_SAMPLES)
+    assert batch.frames.dtype == np.float32
+    assert batch.dt_targets.shape[:2] == batch.ds_targets.shape[:2] == (4, 2)
+    assert batch.mos_targets.shape == batch.jnd_targets.shape == (2,)
+    # no side data: quadruple-only batch with empty side targets
     bare = assemble_batch(quads, np.arange(4), rng)
-    assert bare.mos_frames is None and bare.jnd_frames is None
+    assert bare.frames.shape == (16, FRAME_SAMPLES)
+    assert bare.mos_targets.shape == bare.jnd_targets.shape == (0,)
     # measure targets are the rows of the selected quadruples
     targets = np.arange(12, dtype=np.float32).reshape(6, 2)
     mask = np.ones_like(targets)
@@ -310,6 +312,39 @@ def test_one_row_batches_train(three_quads, case, tmp_path):
     else:
         assert fired == [set(), set()]
         assert [rec["total"] for rec in log] == [0.0, 0.0]
+
+
+def test_batch_rows_in_encoder_order(three_quads, monkeypatch):
+    """`frames` holds the augmented ik, il, jk, jl cuts of each quadruple,
+    then the MOS items, then each JND pair's a and b, drawn in that RNG
+    order. The encoder reads all of it, or only the rows after the
+    quadruples when no quadruple loss is enabled."""
+    quads, _, mos_items, jnd_items, _ = three_quads
+    batch = assemble_batch(quads, np.array([2, 0, 1]), np.random.default_rng(5),
+                           mos_items=mos_items, jnd_items=jnd_items)
+    rng = np.random.default_rng(5)
+    rows, mos, jnd = [], [], []
+    for idx in (2, 0, 1):
+        rows += augment([f.samples for f in quads[idx].frames()], rng)
+    for pick in rng.integers(0, len(mos_items), size=2):
+        rows += augment(mos_items[pick][:1], rng)
+        mos.append(mos_items[pick][1])
+    for pick in rng.integers(0, len(jnd_items), size=2):
+        rows += augment(jnd_items[pick][:2], rng)
+        jnd.append(jnd_items[pick][2])
+    np.testing.assert_array_equal(batch.frames, np.stack(rows))
+    np.testing.assert_array_equal(batch.mos_targets, np.float32(mos))
+    np.testing.assert_array_equal(batch.jnd_targets, np.float32(jnd))
+
+    model = Model(ModelConfig(channel_mult=0.125, seed=0))
+    seen = []
+    encode = model.encode
+    monkeypatch.setattr(model, "encode",
+                        lambda x, train: seen.append(x) or encode(x, train))
+    assert set(_batch_losses(model, batch, ("mos",))) == {"mos"}
+    assert set(_batch_losses(model, batch, ("dt",))) == {"dt"}
+    assert seen[0].base is batch.frames and seen[1] is batch.frames
+    np.testing.assert_array_equal(seen[0], batch.frames[12:])
 
 
 def test_manifest_readers(tmp_path):
