@@ -113,12 +113,13 @@ def cmd_generate(args) -> int:
         noise_pool = [read_wav_48k(os.path.join(args.noise_pool, p))
                       for p in sorted(os.listdir(args.noise_pool))
                       if p.endswith(".wav")]
+        if not noise_pool:
+            raise UsageError("no WAV files found under %s" % args.noise_pool)
 
     if args.check:
         return _generate_check(args.seed or 0, args.transcoder_cmd)
 
     _check_new_file(args.manifest)
-    os.makedirs(args.out, exist_ok=True)
     write_quadruple_manifest(
         iter_quadruples(pool, args.n, args.seed or 0, noise_pool=noise_pool,
                         transcoder_cmd=args.transcoder_cmd),
@@ -166,6 +167,9 @@ def cmd_train(args) -> int:
              if getattr(args, k) is not None}
     mult = given.pop("channels", ModelConfig.channel_mult)
     cfg = TrainConfig(**given)
+    with_mr = "mr" in cfg.loss_mask
+    model_cfg = ModelConfig(channel_mult=mult, seed=cfg.seed,
+                            measure_names=MEASURE_NAMES if with_mr else ())
     for path in filter(None, (args.out, args.log)):
         _check_new_file(path)
 
@@ -177,15 +181,12 @@ def cmd_train(args) -> int:
         jnd_items = load_jnd_items(read_jnd_manifest(args.jnd))
 
     measure_lookup = None
-    measure_names = ()
-    if args.compute_measures:
-        measure_names = MEASURE_NAMES
+    if with_mr:
         measure_lookup = {
             i: compute_measure_vector(q.x_ik.samples, q.x_jk.samples)
             for i, q in enumerate(quads)}
 
-    model = Model(ModelConfig(channel_mult=mult,
-                              measure_names=measure_names, seed=cfg.seed))
+    model = Model(model_cfg)
     train(model, cfg, quads, mos_items=mos_items, jnd_items=jnd_items,
           measure_lookup=measure_lookup, log_path=args.log,
           checkpoint_path=args.out)
@@ -195,7 +196,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.random_baseline:   # one draw from U(1, 5) per clip
-        rng = np.random.default_rng(args.seed or 0)
+        rng = np.random.default_rng(args.seed)
         score = lambda clips: rng.uniform(1.0, 5.0, size=len(clips))
     else:
         model = load_checkpoint(args.checkpoint)
@@ -221,7 +222,7 @@ def cmd_eval(args) -> int:
         preds = score([samples[:FRAME_SAMPLES] for samples, _ in items])
         if args.kfold is not None:
             split = evaluation.kfold_split(len(items), args.kfold,
-                                           seed=args.seed or 0)
+                                           seed=args.seed)
             folds = [evaluation.eval_mos(preds[f], labels[f]) for f in split]
             report["l_mos_folds"] = folds
             report["l_mos"] = float(np.mean(folds))
@@ -267,31 +268,31 @@ def cmd_score(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.mode == "sweep" and not args.clean:
+        raise UsageError("sweep mode needs --clean WAV")
+    if args.mode == "sweep" and args.kind not in NATIVE_KINDS:
+        raise UsageError("sweep mode needs --kind, one of the native "
+                         "kinds: %s" % ", ".join(NATIVE_KINDS))
+    if args.mode != "sweep" and not args.quadruples:
+        raise UsageError("%s mode needs --quadruples" % args.mode)
+    if args.mode == "latents" and not args.out:
+        raise UsageError("latents mode needs --out")
     model = load_checkpoint(args.checkpoint)
     if args.mode == "sweep":
-        if not args.clean:
-            raise UsageError("sweep mode needs --clean WAV")
-        if args.kind not in NATIVE_KINDS:
-            raise UsageError("sweep mode needs --kind, one of the native "
-                             "kinds: %s" % ", ".join(NATIVE_KINDS))
         frame = read_wav_48k(args.clean)
         curve = evaluation.strength_sweep(model, frame, args.kind,
-                                          seed=args.seed or 0)
+                                          seed=args.seed)
         lines = ["strength,mean_score"]
         lines += ["%g,%.4f" % (s, v) for s, v in
                   zip(curve["strengths"], curve["mean_scores"])]
         lines.append("clean,%.4f" % curve["clean_score"])
         _emit("\n".join(lines), args.out)
         return EXIT_OK
-    if not args.quadruples:
-        raise UsageError("%s mode needs --quadruples" % args.mode)
     if args.mode == "distances":
         stats = evaluation.latent_distance_stats(
             model, _load_quads(args.quadruples))
         _emit(json.dumps(stats, indent=2), args.out)
         return EXIT_OK
-    if not args.out:
-        raise UsageError("latents mode needs --out")
     items = [(i, q.x_ik.samples, {"kinds": [s.kind for s in q.chain_i]})
              for i, q in enumerate(_load_quads(args.quadruples))]
     evaluation.export_latents(model, items, args.out)
@@ -322,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--quadruples", required=True, help="quadruple manifest")
     t.add_argument("--mos", help="MOS manifest")
     t.add_argument("--jnd", help="JND manifest")
-    t.add_argument("--compute-measures", action="store_true")
     t.add_argument("--out", default="model.ckpt")
     t.add_argument("--log", default=None)
     t.add_argument("--epochs", type=int)
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--quadruples")
     e.add_argument("--mos")
     e.add_argument("--kfold", type=int)
-    e.add_argument("--seed", type=int)
+    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out")
 
     s = sub.add_parser("score", help="score WAV files")
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--quadruples")
     a.add_argument("--clean")
     a.add_argument("--kind")
-    a.add_argument("--seed", type=int)
+    a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out")
     return p
 

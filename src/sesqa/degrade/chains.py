@@ -42,7 +42,6 @@ class DegradationSpec:
 
 @dataclass(frozen=True)
 class ChainDistribution:
-    stage: str
     counts: tuple
     count_probs: tuple
 
@@ -51,9 +50,8 @@ class ChainDistribution:
             raise ValueError("count probabilities must sum to 1")
 
 
-FIRST_STAGE = ChainDistribution("first", (0, 1, 2), (0.84, 0.12, 0.04))
-SECOND_STAGE = ChainDistribution("second", (1, 2, 3, 4),
-                                 (0.75, 0.2, 0.04, 0.01))
+FIRST_STAGE = ChainDistribution((0, 1, 2), (0.84, 0.12, 0.04))
+SECOND_STAGE = ChainDistribution((1, 2, 3, 4), (0.75, 0.2, 0.04, 0.01))
 _STAGES = {"first": FIRST_STAGE, "second": SECOND_STAGE}
 
 

@@ -389,20 +389,19 @@ def compute_measure(kind: str, reference, degraded) -> float:
 class MeasureVector:
     """Measure values for one (reference, degraded) pair.
 
-    `values` holds the computed measures; a measure requested but not
-    computable (unavailable or degenerate) is left out.
+    `values` holds the computed measures; a measure that declines its
+    input (DegenerateInputError) is left out.
     """
 
     values: dict = field(default_factory=dict)
 
 
-def compute_measure_vector(reference, degraded,
-                           names=MEASURE_NAMES) -> MeasureVector:
+def compute_measure_vector(reference, degraded) -> MeasureVector:
     values = {}
-    for name in names:
+    for name in MEASURE_NAMES:
         try:
             values[name] = compute_measure(name, reference, degraded)
-        except (MeasureUnavailableError, DegenerateInputError):
+        except DegenerateInputError:
             pass
     return MeasureVector(values=values)
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -55,6 +55,10 @@ def _uniform(rng, fan_in, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
 
@@ -65,6 +69,21 @@ class ModelConfig:
     n_kinds: int = 37
     measure_names: tuple = ()
     seed: int = 0
+
+    def __post_init__(self):
+        """Refuse a config no Model can be built from (ValueError). Fields
+        are stored as given, so a checkpoint's config block keeps its bytes."""
+        mult, names = self.channel_mult, self.measure_names
+        if not (isinstance(mult, (int, float)) and not isinstance(mult, bool)
+                and 0 < mult < math.inf):
+            raise ValueError("bad channel_mult %r" % (mult,))
+        if not (_is_int(self.n_kinds) and self.n_kinds >= 1):
+            raise ValueError("bad n_kinds %r" % (self.n_kinds,))
+        if not (isinstance(names, (list, tuple))
+                and all(isinstance(n, str) for n in names)):
+            raise ValueError("bad measure_names %r" % (names,))
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError("bad seed %r" % (self.seed,))
 
     def ch(self, n: int) -> int:
         return max(1, int(round(n * self.channel_mult)))
@@ -307,10 +326,6 @@ def save_checkpoint(model: Model, path) -> None:
             os.remove(tmp)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _meta_config(c, n_bytes: int) -> ModelConfig:
     """The ModelConfig of a checkpoint's `config` block.
 
@@ -318,27 +333,18 @@ def _meta_config(c, n_bytes: int) -> ModelConfig:
     so a config whose widest weights alone would not fit in the `n_bytes`
     of the file is refused first: a corrupt width cannot allocate more
     than the file's own size."""
-    mult, n_kinds = c["channel_mult"], c["n_kinds"]
-    names, seed = c["measure_names"], c["seed"]
-    if not (isinstance(mult, (int, float)) and not isinstance(mult, bool)
-            and 0 < mult < math.inf):
-        raise CheckpointError("bad channel_mult %r" % (mult,))
-    if not (_is_int(n_kinds) and n_kinds >= 1):
-        raise CheckpointError("bad n_kinds %r" % (n_kinds,))
-    if not (isinstance(names, list)
-            and all(isinstance(n, str) for n in names)):
-        raise CheckpointError("bad measure_names %r" % (names,))
-    if not (_is_int(seed) and seed >= 0):
-        raise CheckpointError("bad seed %r" % (seed,))
+    try:
+        cfg = ModelConfig(**{f.name: c[f.name] for f in fields(ModelConfig)})
+    except ValueError as e:
+        raise CheckpointError(str(e))
     # six (ch(512), ch(512), 3) residual convs, the ds and mr output layers
-    width = max(1, 512 * mult - 1)
-    need = 4 * (18 * width * width
-                + HEAD_HIDDEN * (n_kinds + max(1, len(names))))
+    width = max(1, 512 * cfg.channel_mult - 1)
+    need = 4 * (18 * width * width + HEAD_HIDDEN
+                * (cfg.n_kinds + max(1, len(cfg.measure_names))))
     if need > n_bytes:
         raise CheckpointError("config needs more tensor data than the "
                               "file holds")
-    return ModelConfig(channel_mult=mult, n_kinds=n_kinds,
-                       measure_names=tuple(names), seed=seed)
+    return replace(cfg, measure_names=tuple(cfg.measure_names))  # JSON list
 
 
 def _read_tensors(entries, data: bytes, offset: int) -> dict:

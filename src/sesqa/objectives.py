@@ -75,9 +75,8 @@ def loss_cons(s_ik: Tensor, s_il: Tensor, s_jk: Tensor, s_jl: Tensor,
     contribute the separation term only."""
     pieces = [ad.reshape(consistency_terms(s_ik, s_il, s_jk, s_jl), (-1,))]
     if extra_pairs is not None:
-        a, b = extra_pairs
-        pieces.append(ad.reshape(_separation_term(a, b), (-1,)))
-    return ad.mean(ad.concat(pieces)) if len(pieces) > 1 else ad.mean(pieces[0])
+        pieces.append(ad.reshape(_separation_term(*extra_pairs), (-1,)))
+    return ad.mean(ad.concat(pieces))
 
 
 def loss_sd(p: Tensor, targets) -> Tensor:

@@ -453,7 +453,6 @@ def train(model: Model, config: TrainConfig, quads,
     opt = QHState(model.params)
     log = []
     log_file = open(log_path, "w") if log_path else None
-    last_batch = None
     step = 0
     try:
         for epoch in range(config.epochs):
@@ -483,7 +482,6 @@ def train(model: Model, config: TrainConfig, quads,
                     log_file.write(json.dumps(rec) + "\n")
                 if progress:
                     progress(rec)
-                last_batch = batch
                 step += 1
             silent = [n for n in config.loss_mask if n not in fired]
             if silent:
@@ -493,9 +491,8 @@ def train(model: Model, config: TrainConfig, quads,
         if log_file:
             log_file.close()
 
-    if swa.count:
-        swa_finalize(swa, model,
-                     last_batch.frames[:4 * len(last_batch.dt_targets)])
+    # epochs >= 1, so the last epoch absorbed a snapshot and set `batch`
+    swa_finalize(swa, model, batch.frames[:4 * len(batch.dt_targets)])
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
     return log

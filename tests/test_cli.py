@@ -9,7 +9,9 @@ from sesqa import cli
 from sesqa.cli import (EXIT_CHECKPOINT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                        UsageError, main, resolve_option)
 from sesqa.audio import write_wav
+from sesqa.measures import MEASURE_NAMES
 from sesqa.model import load_checkpoint
+from sesqa.objectives import LOSS_NAMES
 
 from conftest import speechlike, wav_bytes
 
@@ -183,11 +185,17 @@ def test_train_bad_loss_mask(workdir, tmp_path):
     (["--lr", "nan"], "learning rate"),
     (["--lr", "inf"], "learning rate"),
     (["--lr", "0"], "learning rate"),
-], ids=["0", "-1", "epochs0", "epochs-1", "lr-nan", "lr-inf", "lr0"])
+    (["--channels", "0"], "bad channel_mult 0.0"),
+    (["--channels", "-1"], "bad channel_mult -1.0"),
+    (["--channels", "inf"], "bad channel_mult inf"),
+    (["--channels", "nan"], "bad channel_mult nan"),
+    (["--seed", "-1"], "bad seed -1"),
+], ids=["0", "-1", "epochs0", "epochs-1", "lr-nan", "lr-inf", "lr0",
+        "channels0", "channels-1", "channels-inf", "channels-nan", "seed-1"])
 def test_train_batch_size_below_one(workdir, tmp_path, flags, message,
                                     capsys, monkeypatch):
-    """A batch size, epoch count or learning rate that no run can use
-    exits 2 before any data is read or any training step runs."""
+    """A batch size, epoch count, learning rate, width or seed that no run
+    can use exits 2 before any data is read or any training step runs."""
     def never(*args, **kwargs):
         raise AssertionError("called with an unusable setting")
 
@@ -206,7 +214,7 @@ def test_train_batch_size_below_one(workdir, tmp_path, flags, message,
 
 @pytest.mark.parametrize("flags", [
     ["--jnd", "JND"],                       # one JND pair in a batch
-    ["--compute-measures"],                 # one quadruple in a batch
+    [],                                     # one quadruple for mr
     ["--mos", "MOS", "--loss-mask", "mos"]  # one MOS frame to encode
 ], ids=["jnd", "measures", "mos"])
 def test_train_one_row_batches(workdir, tmp_path, flags):
@@ -229,6 +237,30 @@ def test_train_one_row_batches(workdir, tmp_path, flags):
                    "0.125", "--seed", "1"] + flags)
     assert rc == EXIT_OK
     assert load_checkpoint(out).config.channel_mult == 0.125
+
+
+def test_train_default_mask_trains_mr(workdir, tmp_path):
+    """The default mask holds mr, so train computes the measure vectors
+    itself: one step of four quadruples, two MOS items and two JND pairs
+    logs all eight losses."""
+    manifest = tmp_path / "four.jsonl"
+    lines = workdir["manifest"].read_text().splitlines()
+    manifest.write_text("\n".join(lines[:4]) + "\n")
+    mos = [json.loads(l)["path"] for l in
+           workdir["mos_manifest"].read_text().splitlines()]
+    jnd = tmp_path / "jnd.jsonl"
+    jnd.write_text("".join(json.dumps({"path_a": a, "path_b": b, "jnd": j})
+                           + "\n" for a, b, j in ((mos[0], mos[1], 1),
+                                                  (mos[2], mos[3], 0))))
+    out, log = tmp_path / "x.ckpt", tmp_path / "log.jsonl"
+    rc = main(["train", "--quadruples", str(manifest), "--out", str(out),
+               "--mos", str(workdir["mos_manifest"]), "--jnd", str(jnd),
+               "--log", str(log), "--epochs", "1", "--batch-size", "4",
+               "--channels", "0.125", "--seed", "1"])
+    assert rc == EXIT_OK
+    (record,) = [json.loads(l) for l in log.read_text().splitlines()]
+    assert set(LOSS_NAMES) < set(record)
+    assert load_checkpoint(out).config.measure_names == MEASURE_NAMES
 
 
 @pytest.mark.parametrize("k", ["5", "-1", "0"])
@@ -519,6 +551,10 @@ _BAD_PATHS = {
     "generate-pool-file": ["generate", "--pool", "{wav}", "--n", "1"],
     "generate-noise-pool-file": ["generate", "--pool", "{pool}",
                                  "--noise-pool", "{wav}", "--n", "1"],
+    "generate-noise-pool-empty": ["generate", "--pool", "{pool}",
+                                  "--noise-pool", "{dir}", "--n", "1",
+                                  "--out", "{tmp}/q", "--manifest",
+                                  "{tmp}/q.jsonl"],
     "generate-manifest-dir": ["generate", "--pool", "{pool}", "--n", "1",
                               "--out", "{tmp}/q", "--manifest", "{dir}"],
     "generate-out-file": ["generate", "--pool", "{pool}", "--n", "1",
@@ -592,3 +628,4 @@ def test_bad_path_exit_code(case, workdir, checkpoint, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: " in err.lower(), err
     assert not (tmp_path / "q.jsonl").exists()
+    assert not (tmp_path / "q").exists()

@@ -325,6 +325,32 @@ def fuzz_checkpoint(tmp_path_factory, small_model):
     return path, blob[:8], json.loads(blob[12:12 + n]), blob[12 + n:]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("channel_mult", 0), ("channel_mult", -1), ("channel_mult", float("inf")),
+    ("channel_mult", float("nan")), ("channel_mult", True),
+    ("n_kinds", 0), ("n_kinds", 2.0), ("n_kinds", True),
+    ("measure_names", "ssnr"), ("measure_names", ["ssnr", 1]),
+    ("measure_names", None), ("seed", -1), ("seed", 1.0), ("seed", False)],
+    ids=["mult0", "mult-1", "mult-inf", "mult-nan", "mult-true", "kinds0",
+         "kinds-float", "kinds-true", "names-str", "names-int", "names-none",
+         "seed-1", "seed-float", "seed-false"])
+def test_config_refused_like_checkpoint(fuzz_checkpoint, tmp_path, field,
+                                        value):
+    """ModelConfig and load_checkpoint refuse the same values, in the same
+    words: a config that trains can always be read back."""
+    with pytest.raises(ValueError) as built:
+        ModelConfig(**{field: value})
+    _, head, meta, tensors = fuzz_checkpoint
+    meta = copy.deepcopy(meta)
+    meta["config"][field] = value
+    blob = json.dumps(meta).encode()
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(head + struct.pack("<I", len(blob)) + blob + tensors)
+    with pytest.raises(CheckpointError) as loaded:
+        load_checkpoint(path)
+    assert str(loaded.value) == str(built.value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(target=_META_TARGETS, value=_JSON | st.just(_DROP))
 def test_load_checkpoint_fuzzed_metadata(fuzz_checkpoint, target, value):
