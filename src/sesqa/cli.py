@@ -195,6 +195,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.kfold is not None and args.kfold < 1:
+        raise UsageError("--kfold must be at least 1, got %d" % args.kfold)
+    if args.out:
+        _check_new_file(args.out)
     if args.random_baseline:   # one draw from U(1, 5) per clip
         rng = np.random.default_rng(args.seed)
         score = lambda clips: rng.uniform(1.0, 5.0, size=len(clips))
@@ -215,7 +219,7 @@ def cmd_eval(args) -> int:
         manifest = read_mos_manifest(args.mos)
         items = load_mos_items(manifest)
         labels = np.array([mos for _, mos in items])
-        if args.kfold is not None and not 1 <= args.kfold <= len(items):
+        if args.kfold is not None and args.kfold > len(items):
             raise UsageError("--kfold must be between 1 and the %d MOS items,"
                              " got %d" % (len(items), args.kfold))
         # every item is at least 1 s long; score its first second
@@ -277,6 +281,8 @@ def cmd_analyze(args) -> int:
         raise UsageError("%s mode needs --quadruples" % args.mode)
     if args.mode == "latents" and not args.out:
         raise UsageError("latents mode needs --out")
+    if args.out:
+        _check_new_file(args.out)
     model = load_checkpoint(args.checkpoint)
     if args.mode == "sweep":
         frame = read_wav_48k(args.clean)
@@ -370,6 +376,8 @@ def main(argv=None) -> int:
         for name, cast in SETTINGS.get(args.command, {}).items():
             setattr(args, name, resolve_option(name, getattr(args, name),
                                                file_config, cast=cast))
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError("bad seed %d" % args.seed)
         return _COMMANDS[args.command](args)
     except CheckpointError as e:   # a ValueError, so caught first
         print("checkpoint error: %s" % e, file=sys.stderr)

@@ -427,30 +427,19 @@ class MeasureNormalizer:
 
 
 def fit_normalizer(corpus) -> MeasureNormalizer:
-    """Fit per-measure mean/std over a list of MeasureVector.
+    """Fit per-measure mean/std over MeasureVectors.
 
-    Only measures present in at least two vectors are fitted; a measure
-    with zero variance raises, naming the offender.
+    A measure is fitted when at least two vectors hold it and its values
+    are not all equal. Any other measure is left out, so the result may
+    be empty; nothing is raised.
     """
-    corpus = list(corpus)
-    if len(corpus) < 2:
-        raise ValueError("normalizer needs at least 2 measure vectors")
     pooled = {}
     for vec in corpus:
         for name, v in vec.values.items():
             pooled.setdefault(name, []).append(v)
     means, stds = {}, {}
     for name, vals in pooled.items():
-        if len(vals) < 2:
-            continue
         arr = np.asarray(vals, dtype=np.float64)
-        m = float(arr.mean())
-        s = float(arr.std())
-        if s <= 0.0:
-            raise ValueError("measure %r has zero variance; cannot "
-                             "normalize" % name)
-        means[name] = m
-        stds[name] = s
-    if not means:
-        raise ValueError("no measure occurs often enough to normalize")
+        if len(arr) >= 2 and arr.std() > 0.0:
+            means[name], stds[name] = float(arr.mean()), float(arr.std())
     return MeasureNormalizer(means=means, stds=stds)

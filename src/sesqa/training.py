@@ -84,29 +84,28 @@ def read_jnd_manifest(path) -> list:
     return read_jsonl(path, _jnd_record)
 
 
+def _read_clip(path):
+    """The samples of the WAV at `path`, or None, with a warning naming
+    it, when it is shorter than 1 s."""
+    frame = read_wav_48k(path)
+    if len(frame) < FRAME_SAMPLES:
+        warnings.warn("skipping %s: shorter than 1 s" % path)
+        return None
+    return frame.samples
+
+
 def load_mos_items(manifest) -> list:
     """(samples, mos) tuples; recordings shorter than 1 s are skipped."""
-    out = []
-    for rec in manifest:
-        frame = read_wav_48k(rec["path"])
-        if len(frame) < FRAME_SAMPLES:
-            warnings.warn("skipping %s: shorter than 1 s" % rec["path"])
-            continue
-        out.append((frame.samples, rec["mos"]))
-    return out
+    clips = [(_read_clip(rec["path"]), rec["mos"]) for rec in manifest]
+    return [(a, mos) for a, mos in clips if a is not None]
 
 
 def load_jnd_items(manifest) -> list:
-    out = []
-    for rec in manifest:
-        a = read_wav_48k(rec["path_a"])
-        b = read_wav_48k(rec["path_b"])
-        if len(a) < FRAME_SAMPLES or len(b) < FRAME_SAMPLES:
-            warnings.warn("skipping JND pair %s: shorter than 1 s"
-                          % rec["path_a"])
-            continue
-        out.append((a.samples, b.samples, rec["jnd"]))
-    return out
+    """(samples_a, samples_b, jnd) tuples; a pair with a clip shorter
+    than 1 s is skipped."""
+    clips = [(_read_clip(rec["path_a"]), _read_clip(rec["path_b"]),
+              rec["jnd"]) for rec in manifest]
+    return [(a, b, j) for a, b, j in clips if a is not None and b is not None]
 
 
 # ---------------------------------------------------------- augmentation
@@ -150,21 +149,18 @@ class Batch:
 
 def _measure_targets(measure_lookup, names, normalizer, n_quads):
     """(n_quads, len(names)) float32 measure-regression targets, one row
-    per quadruple index, and their 0/1 mask. A measure missing from a
-    vector, or a quadruple without one, is masked out; a present value is
-    normalized when `normalizer` was fitted for its measure."""
+    per quadruple index, and their 0/1 mask. An entry is a target, its
+    value normalized, exactly when the quadruple's vector holds the
+    measure and `normalizer` was fitted for it; every other entry is 0
+    with mask 0."""
     targets = np.zeros((n_quads, len(names)), dtype=np.float32)
     mask = np.zeros_like(targets)
-    for row in range(n_quads):
-        vec = measure_lookup.get(row)
-        if vec is None:
-            continue
+    for row, vec in measure_lookup.items():
         for col, name in enumerate(names):
-            if name in vec.values:
-                v = vec.values[name]
-                if name in normalizer.means:
-                    v = normalizer.apply_value(name, v)
-                targets[row, col], mask[row, col] = v, 1.0
+            if name in vec.values and name in normalizer.means:
+                targets[row, col] = normalizer.apply_value(name,
+                                                           vec.values[name])
+                mask[row, col] = 1.0
     return targets, mask
 
 
@@ -427,9 +423,11 @@ def train(model: Model, config: TrainConfig, quads,
     """Run the full training recipe; returns the per-step log records.
 
     `quads` is any indexable collection of Quadruple. `measure_lookup`
-    maps quadruple index -> MeasureVector (raw values; a normalizer is
-    fitted here). The final model parameters are the SWA average with
-    recalibrated BN stats; `model` is updated in place.
+    maps quadruple index -> MeasureVector of raw values. The normalizer
+    is fitted on them here; each measure of `model.config.measure_names`
+    that it leaves out is no mr target, and one warning names them all.
+    The final model parameters are the SWA average with recalibrated BN
+    stats; `model` is updated in place.
     """
     n_q = len(quads)
     if n_q == 0:
@@ -437,14 +435,15 @@ def train(model: Model, config: TrainConfig, quads,
     measure_names = tuple(model.config.measure_names)
     measure_targets = None
     if measure_lookup and measure_names:
-        try:
-            model.normalizer = fit_normalizer(measure_lookup.values())
-        except ValueError as e:
-            warnings.warn("measure normalization disabled: %s" % e)
-            model.normalizer = None
-        else:
-            measure_targets = _measure_targets(
-                measure_lookup, measure_names, model.normalizer, n_q)
+        model.normalizer = fit_normalizer(measure_lookup.values())
+        left_out = [n for n in measure_names
+                    if n not in model.normalizer.means]
+        if left_out:
+            warnings.warn("measures left out of the mr targets (fewer than "
+                          "2 values, or zero variance): %s"
+                          % ", ".join(left_out))
+        measure_targets = _measure_targets(
+            measure_lookup, measure_names, model.normalizer, n_q)
 
     rng = np.random.default_rng(config.seed)
     steps_per_epoch = math.ceil(n_q / config.batch_size)

@@ -212,6 +212,52 @@ def test_train_batch_size_below_one(workdir, tmp_path, flags, message,
     assert not out.exists()
 
 
+# A negative seed, from a flag, a config file or SESQA_SEED, for each
+# command but train (its case is seed-1 above); {tmp} and the others are
+# filled in below.
+_NEGATIVE_SEEDS = {
+    "eval": ["eval", "--random-baseline", "--mos", "{mos}", "--seed", "-1"],
+    "eval-kfold": ["eval", "--random-baseline", "--mos", "{mos}",
+                   "--kfold", "2", "--seed", "-1"],
+    "analyze": ["analyze", "--checkpoint", "{ckpt}", "--mode", "sweep",
+                "--clean", "{wav}", "--kind", "clipping", "--seed", "-1"],
+    "generate": ["generate", "--pool", "{pool}", "--n", "1", "--out",
+                 "{tmp}/q", "--manifest", "{tmp}/q.jsonl", "--seed", "-1"],
+    "generate-check": ["generate", "--pool", "{pool}", "--check",
+                       "--seed", "-1"],
+    "generate-config": ["--config", "{cfg}", "generate", "--pool", "{pool}",
+                        "--n", "1", "--out", "{tmp}/q", "--manifest",
+                        "{tmp}/q.jsonl"],
+    "generate-check-env": ["generate", "--pool", "{pool}", "--check"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEGATIVE_SEEDS))
+def test_negative_seed_exit_code(case, workdir, checkpoint, tmp_path, capsys,
+                                 monkeypatch):
+    """eval, analyze and generate refuse a negative seed with train's
+    message, before they read a checkpoint, a manifest or a WAV."""
+    def never(*args, **kwargs):
+        raise AssertionError("read data with a negative seed")
+
+    for name in ("_load_quads", "load_checkpoint", "read_wav_48k",
+                 "read_mos_manifest"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.CleanPool, "from_directory", never)
+    if case.endswith("-env"):
+        monkeypatch.setenv("SESQA_SEED", "-1")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    names = {"tmp": tmp_path, "cfg": cfg, "wav": tmp_path / "x.wav",
+             "pool": workdir["pool"], "mos": workdir["mos_manifest"],
+             "ckpt": checkpoint}
+    argv = [a.format(**names) for a in _NEGATIVE_SEEDS[case]]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err == "error: bad seed -1\n" and out == ""
+    assert not (tmp_path / "q.jsonl").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--jnd", "JND"],                       # one JND pair in a batch
     [],                                     # one quadruple for mr
@@ -263,11 +309,20 @@ def test_train_default_mask_trains_mr(workdir, tmp_path):
     assert load_checkpoint(out).config.measure_names == MEASURE_NAMES
 
 
-@pytest.mark.parametrize("k", ["5", "-1", "0"])
-def test_eval_kfold_out_of_range(workdir, k, capsys):
-    # the manifest holds 4 MOS items
-    rc = main(["eval", "--random-baseline", "--mos",
-               str(workdir["mos_manifest"]), "--kfold", k])
+@pytest.mark.parametrize("k, manifest", [
+    ("5", "ok"), ("-1", "ok"), ("0", "ok"),
+    ("0", "missing-wav"), ("-1", "missing-wav"),
+], ids=["5", "-1", "0", "0-missing-wav", "-1-missing-wav"])
+def test_eval_kfold_out_of_range(workdir, tmp_path, k, manifest, capsys):
+    """The ok manifest holds 4 MOS items. A fold count below 1 is refused
+    before any WAV is read, so a manifest naming a missing WAV gives the
+    --kfold message too."""
+    mos = workdir["mos_manifest"]
+    if manifest == "missing-wav":
+        mos = tmp_path / "missing.jsonl"
+        mos.write_text(json.dumps({"path": str(tmp_path / "no.wav"),
+                                   "mos": 3.0}) + "\n")
+    rc = main(["eval", "--random-baseline", "--mos", str(mos), "--kfold", k])
     assert rc == EXIT_USAGE
     assert "--kfold" in capsys.readouterr().err
 
@@ -583,6 +638,8 @@ _BAD_PATHS = {
     "eval-mos-missing": ["eval", "--random-baseline", "--mos", "{missing}"],
     "eval-out-dir": ["eval", "--random-baseline", "--mos", "{mos}",
                      "--out", "{dir}"],
+    "eval-out-missing-dir": ["eval", "--checkpoint", "{ckpt}", "--mos",
+                             "{mos}", "--out", "{missing}/r.json"],
     "score-checkpoint-dir": ["score", "--checkpoint", "{dir}", "{wav}"],
     "score-reference-dir": ["score", "--checkpoint", "{ckpt}",
                             "--reference", "{dir}", "{wav}"],
@@ -599,6 +656,17 @@ _BAD_PATHS = {
     "analyze-latents-out-dir": ["analyze", "--checkpoint", "{ckpt}",
                                 "--mode", "latents", "--quadruples",
                                 "{quads}", "--out", "{dir}"],
+    "analyze-distances-out-missing-dir": ["analyze", "--checkpoint", "{ckpt}",
+                                          "--mode", "distances",
+                                          "--quadruples", "{quads}",
+                                          "--out", "{missing}/d.json"],
+    "analyze-latents-out-missing-dir": ["analyze", "--checkpoint", "{ckpt}",
+                                        "--mode", "latents", "--quadruples",
+                                        "{quads}", "--out", "{missing}/z"],
+    "analyze-sweep-out-missing-dir": ["analyze", "--checkpoint", "{ckpt}",
+                                      "--mode", "sweep", "--clean", "{wav}",
+                                      "--kind", "clipping",
+                                      "--out", "{missing}/s.csv"],
     "analyze-clean-dir": ["analyze", "--checkpoint", "{ckpt}", "--mode",
                           "sweep", "--clean", "{dir}", "--kind", "clipping"],
     "analyze-clean-short": ["analyze", "--checkpoint", "{ckpt}", "--mode",
@@ -610,11 +678,19 @@ _BAD_PATHS = {
 @pytest.mark.parametrize("case", sorted(_BAD_PATHS))
 def test_bad_path_exit_code(case, workdir, checkpoint, tmp_path, capsys,
                             monkeypatch):
-    """One message line and exit 2, never a traceback; nothing trains."""
+    """One message line and exit 2, never a traceback; nothing trains,
+    and nothing is scored or printed. An unusable --out is refused before
+    any checkpoint is read."""
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
+    def load(path):
+        loaded.append(path)
+        return load_checkpoint(path)
+
+    loaded = []
     monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(cli, "load_checkpoint", load)
     wav, short = tmp_path / "x.wav", tmp_path / "short.wav"
     write_wav(speechlike(seed=86, seconds=1.0), wav)
     write_wav(speechlike(seed=87, seconds=1000 / 48000), short)
@@ -625,7 +701,10 @@ def test_bad_path_exit_code(case, workdir, checkpoint, tmp_path, capsys,
              "mos": workdir["mos_manifest"], "ckpt": checkpoint}
     argv = [a.format(**names) for a in _BAD_PATHS[case]]
     assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.count("\n") == 1 and "error: " in err.lower(), err
+    assert out == ""
+    if "-out-" in case:
+        assert not loaded
     assert not (tmp_path / "q.jsonl").exists()
     assert not (tmp_path / "q").exists()

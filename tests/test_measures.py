@@ -6,6 +6,7 @@ from sesqa import measures
 from sesqa.audio import AudioFormatError, AudioFrame
 from sesqa.measures import (MEASURE_NAMES, UNAVAILABLE_MEASURES,
                             MeasureNormalizer, MeasureUnavailableError,
+                            MeasureVector,
                             compute_measure, compute_measure_vector,
                             fit_normalizer)
 
@@ -95,12 +96,17 @@ def test_normalizer_fit_and_apply(clean):
 
 
 def test_normalizer_failure_modes(clean):
+    """A measure with under two values, or with no variance, is left out
+    of the normalizer; nothing is raised."""
     one = [compute_measure_vector(clean, clean)]
-    with pytest.raises(ValueError):
-        fit_normalizer(one)
-    # identical vectors: zero variance everywhere
-    with pytest.raises(ValueError):
-        fit_normalizer(one * 3)
+    for corpus in ([], one, one * 3):   # identical: zero variance
+        norm = fit_normalizer(corpus)
+        assert norm.means == {} and norm.stds == {}
+    # sisdr never varies, stoi has one value: only ssnr is fitted
+    norm = fit_normalizer([MeasureVector({"ssnr": 1.0, "sisdr": 60.0,
+                                          "stoi": 0.9}),
+                           MeasureVector({"ssnr": 3.0, "sisdr": 60.0})])
+    assert norm.means == {"ssnr": 2.0} and norm.stds == {"ssnr": 1.0}
 
 
 # Frame-by-frame reference implementations of the batched kernels.

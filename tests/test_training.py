@@ -260,17 +260,18 @@ def test_assemble_batch_ratios_and_targets():
 
 
 def test_measure_targets_mask_missing_measures():
-    vecs = {0: MeasureVector({"ssnr": 1.0, "stoi": 0.5}),
+    vecs = {0: MeasureVector({"ssnr": 1.0, "stoi": 0.5, "mcd": 4.0}),
             1: MeasureVector({"ssnr": 3.0}),
             2: MeasureVector({"ssnr": 2.0, "stoi": 0.9})}
-    names = ("ssnr", "stoi")
+    names = ("ssnr", "stoi", "mcd")   # mcd: in one vector, so not fitted
     norm = fit_normalizer(vecs.values())
     targets, mask = _measure_targets(vecs, names, norm, 4)  # 3: no vector
     assert targets.dtype == mask.dtype == np.float32
-    np.testing.assert_array_equal(mask, [[1, 1], [1, 0], [1, 1], [0, 0]])
+    np.testing.assert_array_equal(
+        mask, [[1, 1, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0]])
     for row, vec in vecs.items():
         for col, name in enumerate(names):
-            if name in vec.values:
+            if mask[row, col]:
                 assert targets[row, col] == np.float32(
                     norm.apply_value(name, vec.values[name]))
     assert not targets[mask == 0].any()
@@ -312,6 +313,42 @@ def test_one_row_batches_train(three_quads, case, tmp_path):
     else:
         assert fired == [set(), set()]
         assert [rec["total"] for rec in log] == [0.0, 0.0]
+
+
+def test_constant_measure_masked(three_quads, recwarn):
+    """A measure whose training values never vary is left out of the
+    normalizer: only its column is masked, the others stay targets, and
+    train regresses them with one warning naming the measure."""
+    quads, _, _, _, lookup = three_quads
+    lookup = {i: MeasureVector({**v.values, "sisdr": 60.0})
+              for i, v in lookup.items()}
+    norm = fit_normalizer(lookup.values())
+    _, mask = _measure_targets(lookup, MEASURE_NAMES, norm, len(quads))
+    expected = [[name in lookup[row].values and name != "sisdr"
+                 for name in MEASURE_NAMES] for row in range(len(quads))]
+    np.testing.assert_array_equal(mask, expected)
+    assert mask.any()
+    model = Model(ModelConfig(channel_mult=0.125, measure_names=MEASURE_NAMES,
+                              seed=0))
+    log = train(model, TrainConfig(epochs=1, batch_size=3, seed=0,
+                                   loss_mask=("mr",)),
+                quads, measure_lookup=lookup)
+    left_out = [str(w.message) for w in recwarn
+                if "left out" in str(w.message)]
+    assert len(left_out) == 1 and left_out[0].endswith(": sisdr")
+    assert [np.isfinite(rec["mr"]) for rec in log] == [True]
+    assert "sisdr" not in model.normalizer.means
+
+
+def test_short_clip_warning_names_it(tmp_path):
+    ok, short = tmp_path / "ok.wav", tmp_path / "short.wav"
+    write_wav(speechlike(seed=32, seconds=1.0), ok)
+    write_wav(speechlike(seed=33, seconds=0.5), short)
+    with pytest.warns(UserWarning, match="skipping .*short.wav"):
+        assert load_jnd_items([{"path_a": str(ok), "path_b": str(short),
+                                "jnd": 1.0}]) == []
+    with pytest.warns(UserWarning, match="skipping .*short.wav"):
+        assert load_mos_items([{"path": str(short), "mos": 3.0}]) == []
 
 
 def test_batch_rows_in_encoder_order(three_quads, monkeypatch):
