@@ -2,7 +2,7 @@
 
 Everything downstream works on 32-bit float mono buffers at a fixed rate
 (canonically 48 kHz). WAV reading handles 16/24-bit integer PCM and 32-bit
-float, little-endian RIFF only.
+float, little-endian RIFF only; WAV writing gives 32-bit float only.
 """
 
 from __future__ import annotations
@@ -133,41 +133,14 @@ def read_wav_48k(path) -> AudioFrame:
     return frame
 
 
-def write_wav(frame: AudioFrame, path, bit_depth="32f") -> None:
-    """Write `frame` as WAV PCM. bit_depth is one of 16, 24, "32f"."""
-    x = np.asarray(frame.samples, dtype=np.float32)
-    if bit_depth == "32f" or bit_depth == 32:
-        fmt_tag, bits = 3, 32
-        payload = x.astype("<f4").tobytes()
-    elif bit_depth == 16:
-        if np.max(np.abs(x), initial=0.0) > 1.0:
-            raise ValueError("samples exceed [-1, 1]; peak-normalize first")
-        fmt_tag, bits = 1, 16
-        q = np.clip(np.round(x * 2.0 ** 15), -(1 << 15), (1 << 15) - 1)
-        payload = q.astype("<i2").tobytes()
-    elif bit_depth == 24:
-        if np.max(np.abs(x), initial=0.0) > 1.0:
-            raise ValueError("samples exceed [-1, 1]; peak-normalize first")
-        fmt_tag, bits = 1, 24
-        q = np.clip(np.round(x * 2.0 ** 23), -(1 << 23), (1 << 23) - 1)
-        q = q.astype(np.int32)
-        b = np.empty((len(q), 3), dtype=np.uint8)
-        b[:, 0] = q & 0xFF
-        b[:, 1] = (q >> 8) & 0xFF
-        b[:, 2] = (q >> 16) & 0xFF
-        payload = b.tobytes()
-    else:
-        raise ValueError("bit_depth must be 16, 24 or '32f'")
-
-    byte_rate = frame.sample_rate * bits // 8
-    block_align = bits // 8
-    fmt = struct.pack("<HHIIHH", fmt_tag, 1, frame.sample_rate,
-                      byte_rate, block_align, bits)
+def write_wav(frame: AudioFrame, path) -> None:
+    """Write `frame` as mono 32-bit float WAV."""
+    payload = np.asarray(frame.samples, dtype="<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, frame.sample_rate,
+                      4 * frame.sample_rate, 4, 32)
     body = (b"WAVE"
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(payload)) + payload)
-    if len(payload) & 1:
-        body += b"\x00"
     with open(path, "wb") as f:
         f.write(b"RIFF" + struct.pack("<I", len(body)) + body)
 

@@ -195,6 +195,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.kfold is not None and not args.mos:
+        raise UsageError("--kfold needs --mos")
     if args.kfold is not None and args.kfold < 1:
         raise UsageError("--kfold must be at least 1, got %d" % args.kfold)
     if args.out:

@@ -13,10 +13,7 @@ at import. Windowing conventions are fixed here:
 * MCD / LMBD: 40 mel bands, 25 ms frames with 10 ms hop; MCD uses cepstra
   1..13 (c0 excluded).
 
-PESQ and its derived composites (CSIG, CBAK, COVL) are registered but
-unavailable: they raise instead of being approximated, so their values can
-never silently corrupt training targets. Bit-exact agreement with any
-external implementation is a non-goal.
+Bit-exact agreement with any external implementation is a non-goal.
 
 LLR depends on the solver on frames whose order-16 LPC normal equations
 are ill-conditioned (condition number above 1e6, as on strongly low-passed
@@ -38,7 +35,6 @@ from .audio import (CANONICAL_RATE, AudioFormatError, AudioFrame,
                     DegenerateInputError)
 
 MEASURE_NAMES = ("ssnr", "llr", "wssd", "stoi", "sisdr", "mcd", "lmbd")
-UNAVAILABLE_MEASURES = ("pesq", "csig", "cbak", "covl")
 
 SSNR_MIN_DB = -10.0
 SSNR_MAX_DB = 35.0
@@ -47,10 +43,6 @@ LPC_ORDER = 16
 RATE = CANONICAL_RATE
 
 _EPS = 1e-12
-
-
-class MeasureUnavailableError(RuntimeError):
-    """The requested measure has no implementation in this build."""
 
 
 def _as_samples(x) -> np.ndarray:
@@ -375,14 +367,11 @@ _REGISTRY = {
 
 
 def compute_measure(kind: str, reference, degraded) -> float:
-    """Dispatch a single measure by name (case-insensitive)."""
-    key = kind.lower()
-    if key in UNAVAILABLE_MEASURES:
-        raise MeasureUnavailableError("%s is not implemented in this build"
-                                      % key.upper())
-    if key not in _REGISTRY:
+    """Dispatch a single measure by name, one of MEASURE_NAMES; any other
+    name raises KeyError."""
+    if kind not in _REGISTRY:
         raise KeyError("unknown measure %r" % kind)
-    return _REGISTRY[key](reference, degraded)
+    return _REGISTRY[kind](reference, degraded)
 
 
 @dataclass

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import ad, nn
 from .ad import Tensor
+from .degrade.quadruples import KIND_NAMES, N_DT_CLASSES
 
 CHECKPOINT_MAGIC = b"SSQA"
 CHECKPOINT_VERSION = 1
@@ -66,7 +67,6 @@ class CheckpointError(ValueError):
 @dataclass
 class ModelConfig:
     channel_mult: float = 1.0
-    n_kinds: int = 37
     measure_names: tuple = ()
     seed: int = 0
 
@@ -77,8 +77,6 @@ class ModelConfig:
         if not (isinstance(mult, (int, float)) and not isinstance(mult, bool)
                 and 0 < mult < math.inf):
             raise ValueError("bad channel_mult %r" % (mult,))
-        if not (_is_int(self.n_kinds) and self.n_kinds >= 1):
-            raise ValueError("bad n_kinds %r" % (self.n_kinds,))
         if not (isinstance(names, (list, tuple))
                 and all(isinstance(n, str) for n in names)):
             raise ValueError("bad measure_names %r" % (names,))
@@ -140,9 +138,8 @@ class Model:
         # the draw of a deleted pair-score head: later heads keep their init
         _uniform(rng, 2 * D, (2 * D, 1))
 
-        widths = {"jnd": 1, "dt": cfg.n_kinds + 1,  # +1: the clean class
-                  "sd": 1, "ds": cfg.n_kinds,
-                  "mr": max(1, len(cfg.measure_names))}
+        widths = {"jnd": 1, "dt": N_DT_CLASSES, "sd": 1,
+                  "ds": len(KIND_NAMES), "mr": max(1, len(cfg.measure_names))}
         for name, (pair, hidden, _) in HEADS.items():
             dims = ((2 * D if pair else D,)
                     + ((HEAD_HIDDEN,) if hidden else ()) + (widths[name],))
@@ -327,7 +324,9 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def _meta_config(c, n_bytes: int) -> ModelConfig:
-    """The ModelConfig of a checkpoint's `config` block.
+    """The ModelConfig of a checkpoint's `config` block. Keys that
+    ModelConfig does not declare are ignored, so files written before a
+    field was dropped still load.
 
     Model(config) allocates every parameter before the tensors are read,
     so a config whose widest weights alone would not fit in the `n_bytes`
@@ -340,7 +339,7 @@ def _meta_config(c, n_bytes: int) -> ModelConfig:
     # six (ch(512), ch(512), 3) residual convs, the ds and mr output layers
     width = max(1, 512 * cfg.channel_mult - 1)
     need = 4 * (18 * width * width + HEAD_HIDDEN
-                * (cfg.n_kinds + max(1, len(cfg.measure_names))))
+                * (len(KIND_NAMES) + max(1, len(cfg.measure_names))))
     if need > n_bytes:
         raise CheckpointError("config needs more tensor data than the "
                               "file holds")

@@ -140,7 +140,7 @@ class Batch:
 
     frames: np.ndarray               # (4 n_q + n_m + 2 n_j, T)
     dt_targets: np.ndarray           # (n_q, 2, n_dt) for chains i and j
-    ds_targets: np.ndarray           # (n_q, 2, n_kinds)
+    ds_targets: np.ndarray           # (n_q, 2, len(KIND_NAMES))
     mos_targets: np.ndarray          # (n_m,)
     jnd_targets: np.ndarray          # (n_j,) 1 = noticeable
     mr_targets: np.ndarray = None    # (n_q, M) normalized, with mask
@@ -258,7 +258,7 @@ def qh_step(params: dict, state: QHState, lr: float) -> None:
         for name, p in params.items():
             slow = state.slow[name]
             slow += LOOKAHEAD_ALPHA * (p.data - slow)
-            p.data = slow.astype(p.data.dtype).copy()
+            p.data = slow.copy()
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:

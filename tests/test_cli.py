@@ -327,6 +327,25 @@ def test_eval_kfold_out_of_range(workdir, tmp_path, k, manifest, capsys):
     assert "--kfold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scorer", ["random", "checkpoint"])
+def test_eval_kfold_needs_mos(scorer, workdir, checkpoint, capsys,
+                              monkeypatch):
+    """--kfold splits the MOS items, so without --mos it is refused before
+    a checkpoint or a manifest is read."""
+    def never(*args, **kwargs):
+        raise AssertionError("read data for a refused --kfold")
+
+    for name in ("_load_quads", "load_checkpoint", "read_mos_manifest"):
+        monkeypatch.setattr(cli, name, never)
+    argv = (["--random-baseline"] if scorer == "random"
+            else ["--checkpoint", str(checkpoint)])
+    rc = main(["eval", *argv, "--quadruples", str(workdir["manifest"]),
+               "--kfold", "3"])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err == "error: --kfold needs --mos\n" and out == ""
+
+
 def test_eval_random_baseline(workdir, tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["eval", "--random-baseline", "--quadruples",

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sesqa import ad, model, nn
+from sesqa import ad, cli, model, nn
+from sesqa.audio import write_wav
 from sesqa.model import (INFER_BATCH, LATENT_DIM, MIN_INPUT_SAMPLES,
                          CheckpointError, Model, ModelConfig, load_checkpoint,
                          save_checkpoint)
@@ -298,6 +299,41 @@ def test_checkpoint_with_pair_head_loads(tmp_path, small_model, monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_kinds", [37, 5])
+def test_checkpoint_with_n_kinds(tmp_path, small_model, monkeypatch,
+                                 n_kinds):
+    """Files written while ModelConfig had an `n_kinds` field hold it in
+    their config block. At 37, one per degradation kind, the file loads and
+    scores as before. Any other value came with dt and ds heads of other
+    widths, which give a CheckpointError and exit code 4."""
+    arrays = {}
+    for name, a in small_model.state_arrays().items():
+        if name.startswith(("head.dt.", "head.ds.l1.", "head.ds.bn.")):
+            a = a[..., :a.shape[-1] - 37 + n_kinds]   # 38 or 37 wide
+        arrays[name] = a
+    c = small_model.config
+    config = {"channel_mult": c.channel_mult, "n_kinds": n_kinds,
+              "measure_names": c.measure_names, "seed": c.seed}
+    path, wav = tmp_path / "old.ckpt", tmp_path / "x.wav"
+    with monkeypatch.context() as m:
+        m.setattr(small_model, "state_arrays", lambda: arrays)
+        m.setattr(model, "asdict", lambda _: config)
+        save_checkpoint(small_model, path)
+    write_wav(speechlike(seed=8, seconds=1.0), wav)
+    rc = cli.main(["score", "--checkpoint", str(path), str(wav)])
+    if n_kinds != 37:
+        assert rc == cli.EXIT_CHECKPOINT
+        with pytest.raises(CheckpointError, match="shape mismatch"):
+            load_checkpoint(path)
+        return
+    assert rc == cli.EXIT_OK
+    back = load_checkpoint(path)
+    assert back.config == small_model.config
+    x = np.stack([speechlike(seed=s, seconds=1.0).samples for s in (8, 9)])
+    for got, want in zip(back.infer(x), small_model.infer(x)):
+        np.testing.assert_array_equal(got, want)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text()
     | st.sampled_from(["float32", "<f4", "int8", "zz", "c8", "f8,i4", "O"]),
@@ -308,8 +344,7 @@ _DROP = object()
 _META_TARGETS = st.one_of(
     st.sampled_from([(), ("config",), ("tensors",), ("normalizer",)]),
     st.tuples(st.just("config"),
-              st.sampled_from(["channel_mult", "n_kinds", "measure_names",
-                               "seed"])),
+              st.sampled_from(["channel_mult", "measure_names", "seed"])),
     st.tuples(st.just("tensors"), st.integers(0, 999)),
     st.tuples(st.just("tensors"), st.integers(0, 999),
               st.sampled_from(["name", "shape", "dtype"])),
@@ -328,12 +363,11 @@ def fuzz_checkpoint(tmp_path_factory, small_model):
 @pytest.mark.parametrize("field, value", [
     ("channel_mult", 0), ("channel_mult", -1), ("channel_mult", float("inf")),
     ("channel_mult", float("nan")), ("channel_mult", True),
-    ("n_kinds", 0), ("n_kinds", 2.0), ("n_kinds", True),
     ("measure_names", "ssnr"), ("measure_names", ["ssnr", 1]),
     ("measure_names", None), ("seed", -1), ("seed", 1.0), ("seed", False)],
-    ids=["mult0", "mult-1", "mult-inf", "mult-nan", "mult-true", "kinds0",
-         "kinds-float", "kinds-true", "names-str", "names-int", "names-none",
-         "seed-1", "seed-float", "seed-false"])
+    ids=["mult0", "mult-1", "mult-inf", "mult-nan", "mult-true",
+         "names-str", "names-int", "names-none", "seed-1", "seed-float",
+         "seed-false"])
 def test_config_refused_like_checkpoint(fuzz_checkpoint, tmp_path, field,
                                         value):
     """ModelConfig and load_checkpoint refuse the same values, in the same
