@@ -1,10 +1,16 @@
 """Finite-difference validation of the autodiff core and the network ops.
 
-Everything runs in float64; the checker nudges values off kinks (relu/abs
-at zero) before comparing. Tolerance is 1e-5 relative error.
+Every gradient check runs in float64; the checker nudges values off kinks
+(relu/abs at zero) before comparing. Tolerance is 1e-5 relative error.
+The float32 BatchNorm tests compare its row sums against float64 ones.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +309,116 @@ def test_batchnorm_train_stores_batch_stats():
                                rtol=1e-10)
     y_eval = nn.batchnorm(x, state.gamma, state.beta, state, False).data
     np.testing.assert_allclose(y_eval, y_train, rtol=1e-10, atol=1e-12)
+
+
+def _bn_forward_backward(x, g, gamma, beta, relu):
+    """Train-mode nn.batchnorm on x with upstream gradient g, all in x's
+    dtype: (y, dx, dgamma, dbeta, state)."""
+    state = nn.BatchNorm(x.shape[1], dtype=x.dtype)
+    state.gamma.data[...] = gamma
+    state.beta.data[...] = beta
+    xt = ad.Tensor(x, requires_grad=True)
+    y = nn.batchnorm(xt, state.gamma, state.beta, state, True, relu)
+    ad.tensor_sum(y * ad.Tensor(g)).backward()
+    return y.data, xt.grad, state.gamma.grad, state.beta.grad, state
+
+
+@pytest.mark.parametrize("ratio", [1e3, 1e4])
+@pytest.mark.parametrize("shape", [(4, 8, 4096), (512, 16)],
+                         ids=["BCT", "BF"])
+def test_batchnorm_float32_with_large_means(shape, ratio):
+    """float32 channels whose means are `ratio` standard deviations. The
+    pilot shift keeps the one-pass variance of _channel_moments within
+    1e-5 of a float64 two-pass one (unshifted float32 row sums lose it to
+    cancellation), and centring x on mu keeps dgamma within 1e-5 (of its
+    max abs) of the float64 sum(g * (x - mu)) / sqrt(var + eps) of the
+    same mu and var."""
+    rng = np.random.default_rng(13)
+    C = shape[1]
+    std = rng.uniform(0.5, 2.0, C)
+    mean = ratio * std * rng.choice([-1.0, 1.0], C)
+    at = (1, C, 1)[:len(shape)]
+    x = (mean.reshape(at) + std.reshape(at) * rng.normal(size=shape))
+    x = x.astype(np.float32)
+    x64 = nn._as3(x).astype(np.float64)
+    ref_mu = x64.mean(axis=(0, 2))
+    ref_var = ((x64 - ref_mu[:, None]) ** 2).mean(axis=(0, 2))
+    mu, var = nn._channel_moments(nn._as3(x))
+    np.testing.assert_allclose(mu, ref_mu, rtol=1e-6)
+    np.testing.assert_allclose(var, ref_var, rtol=1e-5)
+
+    g = rng.normal(size=shape).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, C).astype(np.float32)
+    *_, dgamma, _, state = _bn_forward_backward(x, g, gamma, 0 * gamma,
+                                                False)
+    mu64 = state.running_mean.astype(np.float64)
+    ivstd = 1 / np.sqrt(state.running_var.astype(np.float64) + nn.BN_EPS)
+    ref = np.einsum("bct,bct->c", nn._as3(g).astype(np.float64),
+                    x64 - mu64[:, None]) * ivstd
+    assert np.max(np.abs(dgamma - ref)) < 1e-5 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+def test_batchnorm_float32_matches_float64(relu):
+    """One input at the enc.pool0 shape, normalised once in float32 (row
+    sums in float32, accumulated in float64) and once in float64: y, dx,
+    dgamma and dbeta agree within 1e-5 of each array's max abs."""
+    rng = np.random.default_rng(14)
+    C = 8
+    mean, std = rng.normal(0, 2, (1, C, 1)), rng.uniform(0.5, 2, (1, C, 1))
+    x = rng.normal(mean, std, size=(4, C, 48128)).astype(np.float32)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, C).astype(np.float32)
+    beta = rng.normal(0, 0.5, C).astype(np.float32)
+    r32 = _bn_forward_backward(x, g, gamma, beta, relu)[:4]
+    r64 = _bn_forward_backward(*(a.astype(np.float64)
+                                 for a in (x, g, gamma, beta)), relu)[:4]
+    for name, a32, a64 in zip(("y", "dx", "dgamma", "dbeta"), r32, r64):
+        assert a32.dtype == np.float32
+        err = np.max(np.abs(a32 - a64)) / np.max(np.abs(a64))
+        assert err < 1e-5, "%s: %g" % (name, err)
+
+
+_BN_DIGEST = """
+import hashlib, json, sys
+import numpy as np
+from sesqa import ad, nn
+h = hashlib.sha256()
+for i, shape in enumerate(json.loads(sys.argv[1])):
+    rng = np.random.default_rng(i)
+    C = shape[1]
+    at = (1, C, 1)[:len(shape)]
+    x = (rng.normal(size=at) + rng.normal(size=shape)).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+    for relu in (False, True):
+        state = nn.BatchNorm(C)
+        xt = ad.Tensor(x, requires_grad=True)
+        y = nn.batchnorm(xt, state.gamma, state.beta, state, True, relu)
+        ad.tensor_sum(y * ad.Tensor(g)).backward()
+        for a in (y.data, xt.grad, state.gamma.grad, state.beta.grad,
+                  state.running_mean, state.running_var):
+            h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_batchnorm_bits_do_not_depend_on_blas_threads():
+    """Train-mode BatchNorm forward and backward, run at 1 and at 2 BLAS
+    threads in two fresh processes, give bit-identical outputs: the GEMV
+    row sums add no thread-count dependence of their own."""
+    shapes = [(4, 8, 48128), (4, 16, 12032), (4, 128, 188), (44, 400),
+              (3, 5, 999)]
+    src = str(Path(nn.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _BN_DIGEST,
+                              json.dumps(shapes)],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        digests.add(run.stdout)
+    assert len(digests) == 1
 
 
 # ---------------------------------------- full architecture composition
