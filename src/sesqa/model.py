@@ -129,7 +129,7 @@ class Model:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         c = 1
-        for name, build, _ in BLOCKS:
+        for name, build, _, _ in BLOCKS:
             c = build(self, rng, name, c)
 
         D = LATENT_DIM
@@ -148,16 +148,61 @@ class Model:
                 self._param(prefix + "b", np.zeros(dout))
             self._bn("head.%s.bn" % name, dims[-1])
 
+    def _bn_affine(self, name):
+        """Eval-mode BatchNorm `name` as y = s*x + t per channel."""
+        bn = self.bns[name]
+        s = bn.gamma.data / np.sqrt(bn.running_var + nn.BN_EPS)
+        return s, bn.beta.data - s * bn.running_mean
+
+    def _folded(self, name):
+        """Layer `name` with its eval-mode BatchNorm folded in, W*s and
+        s*b + t: a conv weight as the tap-major (F, K*C) matrix of
+        nn.conv1d with an (F, 1) bias, or an (I, O) linear weight."""
+        s, t = self._bn_affine(name + ".bn")
+        w, b = self.params[name + ".w"].data, self.params[name + ".b"].data
+        if w.ndim == 3:
+            w2 = w.transpose(0, 2, 1).reshape(len(w), -1)
+            return w2 * s[:, None], (s * b + t)[:, None]
+        return w * s, s * b + t
+
+    def _conv_plan(self, name, relu, pool=False):
+        """Folded conv `name` as a step: per batch row one GEMM against the
+        row's tap columns, the bias and the ReLU in place on the output row,
+        and with `pool` the row's blur, so no (B, F, T) array is made."""
+        W2, b = self._folded(name)
+        K = self.params[name + ".w"].data.shape[2]
+
+        def step(h):
+            B, _, T = h.shape
+            y = np.empty((B, len(W2), -(-T // 4) if pool else T), h.dtype)
+            row = np.empty((len(W2), T), h.dtype) if pool else None
+            for yi, cols in zip(y, nn._tap_columns(h, K)):
+                r = row if pool else yi
+                np.matmul(W2, cols, out=r)
+                r += b
+                if relu:
+                    np.maximum(r, 0, out=r)
+                if pool:
+                    nn._blur4(r, out=yi)
+            return y
+        return step
+
     # ---------------------------------------------------- encoder blocks
     # Rows of BLOCKS: build(model, rng, name, c_in) makes a block's params
     # and returns its width; forward(model, name, h, train) runs it. Both
     # call nn/ad by module attribute, so wrappers put there see each call.
+    # plan(model, name) returns the block as one numpy step h -> h for
+    # Model.infer, made from the parameters and running stats as they are.
     def _mu_build(self, rng, name, c_in):
         self._param("enc.m", np.log(np.expm1(8.0)))   # softplus(enc.m) = 8
         return c_in
 
     def _mu_forward(self, name, h, train):
         return nn.mu_law_compand(h, ad.softplus(self.params["enc.m"]))
+
+    def _mu_plan(self, name):
+        mu = np.logaddexp(0.0, self.params["enc.m"].data)   # as ad.softplus
+        return lambda h: nn.mu_law_compand(h, mu).data
 
     def _pool_build(self, rng, name, c_in, width):
         return self._layer(rng, name, c_in, self.config.ch(width), taps=4)
@@ -179,12 +224,32 @@ class Model:
             f = self._run_layer(name + ".conv%d" % j, f, train, relu=j < 2)
         return nn.gated_residual(h, f, self.params[name + ".gate"])
 
+    def _res_plan(self, name):
+        s, t = (a[:, None] for a in self._bn_affine(name + ".bn_pre"))
+        convs = [self._conv_plan("%s.conv%d" % (name, j), relu=j < 2)
+                 for j in range(3)]
+        g = (1.0 / (1.0 + np.exp(-self.params[name + ".gate"].data)))[:, None]
+
+        def step(h):
+            f = np.maximum(h * s + t, 0)   # a new array: h feeds the gate
+            for conv in convs:
+                f = conv(f)
+            h -= f                         # h <- f + g*(h - f), in place
+            h *= g
+            h += f
+            return h
+        return step
+
     def _stats_build(self, rng, name, c_in):
         self.stats_dim = self._bn(name + "_bn", 2 * c_in)
         return self.stats_dim
 
     def _stats_forward(self, name, h, train):
         return self.bns[name + "_bn"](nn.stats_pool(h), train)
+
+    def _stats_plan(self, name):
+        s, t = self._bn_affine(name + "_bn")
+        return lambda h: nn.stats_pool(h).data * s + t
 
     def _mlp_build(self, rng, name, c_in):
         hidden = self._layer(rng, name + "0", c_in, self.config.ch(1024))
@@ -193,6 +258,10 @@ class Model:
     def _mlp_forward(self, name, h, train):
         h = self._run_layer(name + "0", h, train, relu=True)
         return self._run_layer(name + "1", h, train, relu=False)
+
+    def _mlp_plan(self, name):
+        (w0, b0), (w1, b1) = self._folded(name + "0"), self._folded(name + "1")
+        return lambda h: np.maximum(h @ w0 + b0, 0) @ w1 + b1
 
     # ---------------------------------------------------------- forward
     def _prepare(self, frames: np.ndarray) -> np.ndarray:
@@ -208,25 +277,34 @@ class Model:
     def encode(self, frames: np.ndarray, train: bool = False) -> Tensor:
         """(B,T) raw audio -> (B,200) latents."""
         h = Tensor(self._prepare(frames), requires_grad=False)
-        for name, _, forward in BLOCKS:
+        for name, _, forward, _ in BLOCKS:
             h = forward(self, name, h, train)
         return h
 
     def infer(self, frames) -> tuple[np.ndarray, np.ndarray]:
         """Forward-only (B,T) audio -> ((B,200) latents, (B,) scores).
 
-        Eval-mode encode and score with no autodiff graph, INFER_BATCH
-        rows at a time. `frames` is a (B,T) array or a list of
-        equal-length 1-D arrays; each chunk is stacked only when run.
+        The eval-mode encoder and score head, INFER_BATCH rows at a time;
+        `frames` is a (B,T) array or a list of equal-length 1-D arrays,
+        each chunk stacked only when run. The encoder is a plan of numpy
+        steps, one per BLOCKS row, built on every call (once the first
+        chunk passes the length check) from the current parameters and
+        running stats, so nothing is cached. Each BatchNorm is folded into
+        the layer before it; a pool block runs a batch row at a time.
         """
         zs = [np.empty((0, LATENT_DIM), dtype=DTYPE)]
         ss = [np.empty(0, dtype=DTYPE)]
+        steps = None
         with ad.no_grad():
             for b0 in range(0, len(frames), INFER_BATCH):
-                chunk = np.asarray(frames[b0:b0 + INFER_BATCH], dtype=DTYPE)
-                z = self.encode(chunk, train=False)
-                zs.append(z.data)
-                ss.append(self.score(z).data)
+                h = self._prepare(np.asarray(frames[b0:b0 + INFER_BATCH],
+                                             dtype=DTYPE))
+                if steps is None:
+                    steps = [plan(self, name) for name, _, _, plan in BLOCKS]
+                for step in steps:
+                    h = step(h)
+                zs.append(h)
+                ss.append(self.score(h).data)
         return np.concatenate(zs), np.concatenate(ss)
 
     def score(self, z) -> Tensor:
@@ -287,16 +365,18 @@ class Model:
             bn.running_var = np.array(arrays[name + ".running_var"], DTYPE)
 
 
-# The encoder, input first: (name, build, forward) per block. The order
-# fixes the RNG draws and the checkpoint's tensor order.
+# The encoder, input first: (name, build, forward, plan) per block. The
+# order fixes the RNG draws and the checkpoint's tensor order.
 BLOCKS = (
-    ("enc.mu", Model._mu_build, Model._mu_forward),
+    ("enc.mu", Model._mu_build, Model._mu_forward, Model._mu_plan),
     *(("enc.pool%d" % i, partial(Model._pool_build, width=32 << i),
-       Model._pool_forward) for i in range(4)),
-    *(("enc.res%d" % r, Model._res_build, Model._res_forward)
-      for r in range(6)),
-    ("enc.stats", Model._stats_build, Model._stats_forward),
-    ("enc.mlp", Model._mlp_build, Model._mlp_forward))
+       Model._pool_forward, partial(Model._conv_plan, relu=True, pool=True))
+      for i in range(4)),
+    *(("enc.res%d" % r, Model._res_build, Model._res_forward,
+       Model._res_plan) for r in range(6)),
+    ("enc.stats", Model._stats_build, Model._stats_forward,
+     Model._stats_plan),
+    ("enc.mlp", Model._mlp_build, Model._mlp_forward, Model._mlp_plan))
 
 
 def save_checkpoint(model: Model, path) -> None:

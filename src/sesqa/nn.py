@@ -90,10 +90,23 @@ def conv1d(x, w, b):
     return _make(y, (x, w, b), backward)
 
 
+def _blur4(x, out=None):
+    """The forward of blurpool on x (..., T): binomial blur, reflect pad,
+    stride 4, as a polyphase sum: window j's taps 0-3 are row j of the
+    padded input seen as (..., To, 4), its tap 4 is row j+1's first sample.
+    blurpool calls it on the batch; Model.infer on one (F, T) row at a
+    time, so that no padded copy of the batch is made."""
+    ker = BLUR_KERNEL.astype(x.dtype)
+    To = -(-x.shape[-1] // 4)
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 1) + ((2, 2),), mode="reflect")
+    y = np.matmul(xp[..., :4 * To].reshape(*x.shape[:-1], To, 4), ker[:4],
+                  out=out)
+    y += ker[4] * xp[..., 4:4 * To + 1:4]
+    return y
+
+
 def blurpool(x, factor=4):
-    """Anti-aliased downsampling: binomial blur, reflect pad, stride 4, as a
-    polyphase sum: window j's taps 0-3 are row j of the padded input seen as
-    (B, C, To, 4), its tap 4 is row j+1's first sample."""
+    """Anti-aliased downsampling by 4 (see _blur4), differentiable in x."""
     x = as_tensor(x)
     B, C, T = x.data.shape
     if factor != 4 or T < len(BLUR_KERNEL):
@@ -101,9 +114,7 @@ def blurpool(x, factor=4):
                          % (factor, T))
     ker = BLUR_KERNEL.astype(x.data.dtype)
     To = -(-T // 4)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (2, 2)), mode="reflect")
-    y = xp[..., :4 * To].reshape(B, C, To, 4) @ ker[:4]
-    y += ker[4] * xp[..., 4:4 * To + 1:4]
+    y = _blur4(x.data)
 
     def backward(g):
         if not x.requires_grad:
@@ -193,7 +204,9 @@ class BatchNorm:
     Train mode normalizes with the batch statistics and stores them as
     the running stats; eval mode normalizes with the running stats.
     Training ends with one recalibration pass (training.recalibrate_bn),
-    so the stats eval mode reads are those of that pass.
+    whose stats Model.infer folds into the layer before each BatchNorm.
+    Eval mode itself runs only in tests and in Model.encode(train=False),
+    the reference that infer is tested against.
 
     The channel sums (train mode's moments, the backward's sg and sgx) are
     taken one batch row at a time in the input's dtype, a GEMV and an

@@ -546,6 +546,12 @@ def test_bad_reference_exit_code(checkpoint, tmp_path, capsys):
     rc = main(["score", "--checkpoint", str(checkpoint), str(rate0)])
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith("%s\tERROR" % rate0)
+    # a file too short to encode is refused by its own ERROR line
+    rc = main(["score", "--checkpoint", str(checkpoint), str(short)])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "%s\tERROR: input too short: 600 < " % short)
 
 
 def test_score_command(workdir, checkpoint, tmp_path, capsys):

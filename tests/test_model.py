@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -114,40 +115,126 @@ def test_eval_forward_deterministic(small_model):
     np.testing.assert_array_equal(z0, z1)
 
 
+def _check_infer_rows(m, frames, z, s):
+    """Each row of infer's latents `z` and scores `s` against
+    encode(train=False) of that row alone and its score. One row against a
+    batch: BLAS may sum in another order, and infer folds each BatchNorm
+    into its layer, so float32 allows rounding relative to the latents'
+    scale; in float64 only a fold error could exceed 1e-10."""
+    if m.params["enc.m"].data.dtype == np.float64:
+        z_tol, s_rtol = {"rtol": 0, "atol": 1e-10}, 1e-10
+    else:
+        z_tol, s_rtol = {"rtol": 1e-4, "atol": 1e-4 * np.abs(z).max()}, 1e-5
+    for i, x in enumerate(frames):
+        z_ref = m.encode(x[None, :], train=False)
+        np.testing.assert_allclose(z[i], z_ref.data[0], **z_tol)
+        np.testing.assert_allclose(s[i], m.score(z_ref).data[0], rtol=s_rtol)
+
+
 def test_infer_matches_encode_and_score_across_chunks(small_model):
     frames = [speechlike(seed=100 + i, seconds=1.0).samples
               for i in range(INFER_BATCH + 1)]
     z, s = small_model.infer(frames)
     assert z.shape == (INFER_BATCH + 1, LATENT_DIM)
     assert s.shape == (INFER_BATCH + 1,)
-    # one row against a batch: BLAS may sum in another order, so allow
-    # float32 rounding relative to the latents' scale
-    atol = 1e-4 * np.abs(z).max()
-    for i, x in enumerate(frames):
-        z_ref = small_model.encode(x[None, :], train=False)
-        np.testing.assert_allclose(z[i], z_ref.data[0], rtol=1e-4, atol=atol)
-        np.testing.assert_allclose(s[i], small_model.score(z_ref).data[0],
-                                   rtol=1e-5)
+    _check_infer_rows(small_model, frames, z, s)
     z2, s2 = small_model.infer(np.stack(frames))
     np.testing.assert_array_equal(z2, z)
     np.testing.assert_array_equal(s2, s)
 
 
+@pytest.mark.parametrize("seconds", [1.37, 6.0])
+def test_infer_matches_encode_on_lengths(small_model, seconds):
+    # 1.37 s is 65,760 samples, not a multiple of PAD_MULTIPLE
+    frames = [speechlike(seed=11, seconds=seconds).samples]
+    _check_infer_rows(small_model, frames, *small_model.infer(frames))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_infer_reads_the_current_state(monkeypatch, dtype):
+    """infer builds its plan from the parameters and running stats of the
+    moment: after each change below it matches encode(train=False) again.
+    The biases are non-zero, and the BatchNorms are calibrated on the
+    frames and then moved off those stats and off the identity affine,
+    so that each change moves the latents and a fold error shows."""
+    monkeypatch.setattr(model, "DTYPE", dtype)
+    m = Model(ModelConfig(channel_mult=0.125, seed=5))
+    rng = np.random.default_rng(7)
+    for name, t in m.params.items():
+        if name.endswith(".b"):
+            t.data[...] = rng.normal(0.0, 0.1, t.data.shape)
+    frames = [speechlike(seed=30 + i, seconds=1.0).samples for i in range(3)]
+    with ad.no_grad():
+        m.encode(np.stack(frames), train=True)
+    for bn in m.bns.values():
+        c = len(bn.running_mean)
+        bn.running_mean += rng.normal(0.0, 0.3, c) * np.sqrt(bn.running_var)
+        bn.running_var *= rng.uniform(0.5, 2.0, c)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+        bn.beta.data[...] = rng.normal(0.0, 0.3, c)
+    p, bn = m.params, m.bns["enc.res1.conv1.bn"]
+    # each change in place, array <- array * scale + shift
+    changes = ((p["enc.m"].data, 1.0, 1.0),
+               (p["enc.res2.gate"].data, -1.0, 0),
+               (p["enc.pool1.w"].data, 1.5, 0),
+               (p["enc.pool1.b"].data, 1.0, 0.2),
+               (bn.gamma.data, 2.0, 0),
+               (bn.running_mean, 1.0, 0.5),
+               (bn.running_var, 4.0, 0))
+    z, s = m.infer(frames)
+    _check_infer_rows(m, frames, z, s)
+    for a, scale, shift in changes:
+        a *= scale
+        a += shift
+        z_prev, (z, s) = z, m.infer(frames)
+        assert z.dtype == s.dtype == dtype
+        _check_infer_rows(m, frames, z, s)
+        assert np.abs(z - z_prev).max() > 1e-2 * np.abs(z).max()
+
+
 def test_infer_builds_no_graph(small_model, monkeypatch):
-    encoded = []
-    encode = Model.encode
+    # infer runs no encode; the autodiff ops it does run (mu-law
+    # companding, stats pooling, the score head) record no graph
+    made = []
 
-    def recording_encode(self, *args, **kwargs):
-        encoded.append(encode(self, *args, **kwargs))
-        return encoded[-1]
+    def recording(make):
+        def wrapper(*args):
+            made.append(make(*args))
+            return made[-1]
+        return wrapper
 
-    monkeypatch.setattr(Model, "encode", recording_encode)
+    monkeypatch.setattr(ad, "_make", recording(ad._make))
+    monkeypatch.setattr(nn, "_make", recording(nn._make))
     for p in small_model.params.values():
         p.grad = None
     small_model.infer(np.stack([speechlike(seed=9, seconds=1.0).samples] * 2))
-    assert len(encoded) == 1
-    assert not encoded[0].requires_grad and encoded[0]._parents == ()
+    assert made
+    assert all(not t.requires_grad and t._parents == ()
+               and t._backward is None for t in made)
     assert all(p.grad is None for p in small_model.params.values())
+
+
+def test_infer_peak_memory_below_encode(small_model):
+    # the fused pool rows make no (B, ch(32), T) pre-blur activation
+    x = np.stack([speechlike(seed=40 + i, seconds=1.0).samples
+                  for i in range(INFER_BATCH)])
+    T = -(-x.shape[1] // model.PAD_MULTIPLE) * model.PAD_MULTIPLE
+    pre_blur = INFER_BATCH * small_model.config.ch(32) * T * 4
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def encode():
+        with ad.no_grad():
+            small_model.encode(x, train=False)
+
+    assert peak(lambda: small_model.infer(x)) + pre_blur < peak(encode)
 
 
 def test_score_reference(small_model):
@@ -461,12 +548,12 @@ def test_state_layout_golden():
 
 
 def test_each_block_builds_its_own_parameters():
-    assert tuple(name for name, _, _ in model.BLOCKS) == ENCODER_BLOCKS
+    assert tuple(name for name, *_ in model.BLOCKS) == ENCODER_BLOCKS
     full = Model(LAYOUT_CONFIG)
     shell = Model.__new__(Model)    # no parameters yet
     shell.config, shell.params, shell.bns = LAYOUT_CONFIG, {}, {}
     rng, width = np.random.default_rng(LAYOUT_CONFIG.seed), 1
-    for name, build, _ in model.BLOCKS:
+    for name, build, *_ in model.BLOCKS:
         before = set(shell.params) | set(shell.bns)
         width = build(shell, rng, name, width)
         made = (set(shell.params) | set(shell.bns)) - before
