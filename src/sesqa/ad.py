@@ -241,14 +241,9 @@ def tensor_sum(a, axis=None):
     return _make(a.data.sum(axis=axis), (a,), backward)
 
 
-def mean(a, axis=None):
+def mean(a):
     a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else axis
-        n = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return mul_const(tensor_sum(a, axis=axis), 1.0 / n)
+    return mul_const(tensor_sum(a), 1.0 / a.data.size)
 
 
 def clip(a, lo: float, hi: float):

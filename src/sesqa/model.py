@@ -51,17 +51,30 @@ def _head_layers(name: str) -> tuple:
     return ("head.%s." % name,)
 
 
-def _uniform(rng, fan_in, shape):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
+
+
+def _tensor(src, name, shape, fan_in=None, fill=0.0) -> np.ndarray:
+    """The tensor `name` of `shape`, in DTYPE. `src` is a checkpoint's
+    name -> array, whose `name` must be there with that shape; or a seeded
+    Generator, which gives a U(+-1/sqrt(fan_in)) draw, or `fill` when
+    fan_in is None. A file's array is copied, so no view of it is kept."""
+    if isinstance(src, dict):
+        a = src.get(name)
+        if a is None:
+            raise CheckpointError("missing tensor %s" % name)
+        if a.shape != shape:
+            raise CheckpointError("shape mismatch for %s" % name)
+        return np.array(a, DTYPE)
+    if fan_in is None:
+        return np.full(shape, fill, DTYPE)
+    bound = 1.0 / np.sqrt(fan_in)
+    return src.uniform(-bound, bound, size=shape).astype(DTYPE)
 
 
 @dataclass
@@ -90,34 +103,38 @@ class ModelConfig:
 class Model:
     """All parameters plus forward passes. Single-writer during training;
     immutable (and therefore freely shareable) in eval mode. A residual
-    block ends in one nn.gated_residual op, h <- g*h + (1-g)*f."""
+    block ends in one nn.gated_residual op, h <- g*h + (1-g)*f. Tensors
+    come from `arrays`, a checkpoint's name -> array, if given (_tensor)."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, arrays: dict | None = None):
         self.config = config
         self.params: dict[str, Tensor] = {}
         self.bns: dict[str, nn.BatchNorm] = {}
         self.normalizer = None  # fitted MeasureNormalizer, set by training
-        self._build()
+        self._build(arrays)
 
     # ------------------------------------------------------------ setup
-    def _param(self, name, array):
-        self.params[name] = Tensor(np.asarray(array, dtype=DTYPE),
-                                   requires_grad=True)
+    def _param(self, src, name, shape, fan_in=None, fill=0.0) -> Tensor:
+        t = Tensor(_tensor(src, name, shape, fan_in, fill), requires_grad=True)
+        self.params[name] = t
+        return t
 
-    def _bn(self, name, num_features) -> int:
-        bn = nn.BatchNorm(num_features, dtype=DTYPE)
-        self.bns[name] = bn
-        self.params[name + ".gamma"] = bn.gamma
-        self.params[name + ".beta"] = bn.beta
-        return num_features
+    def _bn(self, src, name, n) -> int:
+        """BatchNorm `name`: parameters gamma and beta, running stats."""
+        bn = self.bns[name] = nn.BatchNorm(n, dtype=DTYPE)
+        bn.gamma = self._param(src, name + ".gamma", (n,), fill=1.0)
+        bn.beta = self._param(src, name + ".beta", (n,))
+        bn.running_mean = _tensor(src, name + ".running_mean", (n,))
+        bn.running_var = _tensor(src, name + ".running_var", (n,), fill=1.0)
+        return n
 
-    def _layer(self, rng, name, c_in, width, taps=None) -> int:
+    def _layer(self, src, name, c_in, width, taps=None) -> int:
         """`name.w`, a (width, c_in, taps) conv1d or (c_in, width) linear
         weight; a zero bias `name.b`; their BatchNorm `name.bn`."""
         shape = (c_in, width) if taps is None else (width, c_in, taps)
-        self._param(name + ".w", _uniform(rng, c_in * (taps or 1), shape))
-        self._param(name + ".b", np.zeros(width))
-        return self._bn(name + ".bn", width)
+        self._param(src, name + ".w", shape, fan_in=c_in * (taps or 1))
+        self._param(src, name + ".b", (width,))
+        return self._bn(src, name + ".bn", width)
 
     def _run_layer(self, name, h, train, relu):
         """The conv1d or linear layer `name`, then its BatchNorm."""
@@ -125,18 +142,18 @@ class Model:
         h = (nn.conv1d if w.data.ndim == 3 else nn.linear)(h, w, b)
         return self.bns[name + ".bn"](h, train, relu=relu)
 
-    def _build(self):
+    def _build(self, arrays):
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
+        src = np.random.default_rng(cfg.seed) if arrays is None else arrays
         c = 1
         for name, build, _, _ in BLOCKS:
-            c = build(self, rng, name, c)
+            c = build(self, src, name, c)
 
         D = LATENT_DIM
-        self._param("head.score.w", _uniform(rng, D, (D, 1)))
-        self._param("head.score.b", np.zeros(1))
-        # the draw of a deleted pair-score head: later heads keep their init
-        _uniform(rng, 2 * D, (2 * D, 1))
+        self._param(src, "head.score.w", (D, 1), fan_in=D)
+        self._param(src, "head.score.b", (1,))
+        if arrays is None:   # a deleted pair-score head's (2D, 1) draw
+            src.random(2 * D)
 
         widths = {"jnd": 1, "dt": N_DT_CLASSES, "sd": 1,
                   "ds": len(KIND_NAMES), "mr": max(1, len(cfg.measure_names))}
@@ -144,9 +161,9 @@ class Model:
             dims = ((2 * D if pair else D,)
                     + ((HEAD_HIDDEN,) if hidden else ()) + (widths[name],))
             for prefix, din, dout in zip(_head_layers(name), dims, dims[1:]):
-                self._param(prefix + "w", _uniform(rng, din, (din, dout)))
-                self._param(prefix + "b", np.zeros(dout))
-            self._bn("head.%s.bn" % name, dims[-1])
+                self._param(src, prefix + "w", (din, dout), fan_in=din)
+                self._param(src, prefix + "b", (dout,))
+            self._bn(src, "head.%s.bn" % name, dims[-1])
 
     def _bn_affine(self, name):
         """Eval-mode BatchNorm `name` as y = s*x + t per channel."""
@@ -188,13 +205,13 @@ class Model:
         return step
 
     # ---------------------------------------------------- encoder blocks
-    # Rows of BLOCKS: build(model, rng, name, c_in) makes a block's params
-    # and returns its width; forward(model, name, h, train) runs it. Both
-    # call nn/ad by module attribute, so wrappers put there see each call.
+    # Rows of BLOCKS: build(model, src, name, c_in) makes a block's tensors
+    # by _tensor and returns its width; forward(model, name, h, train) runs
+    # it. Both call nn/ad by module attribute, so wrappers see each call.
     # plan(model, name) returns the block as one numpy step h -> h for
     # Model.infer, made from the parameters and running stats as they are.
-    def _mu_build(self, rng, name, c_in):
-        self._param("enc.m", np.log(np.expm1(8.0)))   # softplus(enc.m) = 8
+    def _mu_build(self, src, name, c_in):
+        self._param(src, "enc.m", (), fill=np.log(np.expm1(8.0)))  # mu = 8
         return c_in
 
     def _mu_forward(self, name, h, train):
@@ -204,18 +221,18 @@ class Model:
         mu = np.logaddexp(0.0, self.params["enc.m"].data)   # as ad.softplus
         return lambda h: nn.mu_law_compand(h, mu).data
 
-    def _pool_build(self, rng, name, c_in, width):
-        return self._layer(rng, name, c_in, self.config.ch(width), taps=4)
+    def _pool_build(self, src, name, c_in, width):
+        return self._layer(src, name, c_in, self.config.ch(width), taps=4)
 
     def _pool_forward(self, name, h, train):
         return nn.blurpool(self._run_layer(name, h, train, relu=True), 4)
 
-    def _res_build(self, rng, name, c_in):
-        c = self._bn(name + ".bn_pre", c_in)
+    def _res_build(self, src, name, c_in):
+        c = self._bn(src, name + ".bn_pre", c_in)
         for j, (width, taps) in enumerate(((512, 1), (512, 3), (256, 1))):
-            c = self._layer(rng, "%s.conv%d" % (name, j), c,
+            c = self._layer(src, "%s.conv%d" % (name, j), c,
                             self.config.ch(width), taps=taps)
-        self._param(name + ".gate", np.full(c_in, 3.0))
+        self._param(src, name + ".gate", (c_in,), fill=3.0)
         return c_in
 
     def _res_forward(self, name, h, train):
@@ -240,8 +257,8 @@ class Model:
             return h
         return step
 
-    def _stats_build(self, rng, name, c_in):
-        self.stats_dim = self._bn(name + "_bn", 2 * c_in)
+    def _stats_build(self, src, name, c_in):
+        self.stats_dim = self._bn(src, name + "_bn", 2 * c_in)
         return self.stats_dim
 
     def _stats_forward(self, name, h, train):
@@ -251,9 +268,9 @@ class Model:
         s, t = self._bn_affine(name + "_bn")
         return lambda h: nn.stats_pool(h).data * s + t
 
-    def _mlp_build(self, rng, name, c_in):
-        hidden = self._layer(rng, name + "0", c_in, self.config.ch(1024))
-        return self._layer(rng, name + "1", hidden, LATENT_DIM)
+    def _mlp_build(self, src, name, c_in):
+        hidden = self._layer(src, name + "0", c_in, self.config.ch(1024))
+        return self._layer(src, name + "1", hidden, LATENT_DIM)
 
     def _mlp_forward(self, name, h, train):
         h = self._run_layer(name + "0", h, train, relu=True)
@@ -349,21 +366,6 @@ class Model:
             out[name + ".running_var"] = bn.running_var
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        """Install saved tensors; names the model lacks are ignored."""
-        expected = self.state_arrays()
-        missing = set(expected) - set(arrays)
-        if missing:
-            raise CheckpointError("missing tensors: %s" % sorted(missing)[:5])
-        for name, a in expected.items():
-            if np.shape(arrays[name]) != a.shape:
-                raise CheckpointError("shape mismatch for %s" % name)
-        for name, t in self.params.items():
-            t.data = np.array(arrays[name], DTYPE)
-        for name, bn in self.bns.items():
-            bn.running_mean = np.array(arrays[name + ".running_mean"], DTYPE)
-            bn.running_var = np.array(arrays[name + ".running_var"], DTYPE)
-
 
 # The encoder, input first: (name, build, forward, plan) per block. The
 # order fixes the RNG draws and the checkpoint's tensor order.
@@ -408,10 +410,9 @@ def _meta_config(c, n_bytes: int) -> ModelConfig:
     ModelConfig does not declare are ignored, so files written before a
     field was dropped still load.
 
-    Model(config) allocates every parameter before the tensors are read,
-    so a config whose widest weights alone would not fit in the `n_bytes`
-    of the file is refused first: a corrupt width cannot allocate more
-    than the file's own size."""
+    A config whose widest weights alone would not fit in the `n_bytes` of
+    the file is refused before the model is built: a corrupt width is
+    named as such and cannot allocate more than the file's own size."""
     try:
         cfg = ModelConfig(**{f.name: c[f.name] for f in fields(ModelConfig)})
     except ValueError as e:
@@ -455,6 +456,7 @@ def _read_tensors(entries, data: bytes, offset: int) -> dict:
 def load_checkpoint(path) -> Model:
     """Read a checkpoint; any malformed content raises CheckpointError.
 
+    The model is built from the file's tensors, with no initial draw.
     Tensors in the file that the model does not have (such as the
     pair-score head of older checkpoints) are ignored."""
     from .measures import MeasureNormalizer
@@ -480,9 +482,7 @@ def load_checkpoint(path) -> Model:
         entries = meta["tensors"]
     except (KeyError, TypeError) as e:
         raise CheckpointError("incomplete metadata block: %r" % e)
-    arrays = _read_tensors(entries, data, 12 + meta_len)
-    model = Model(cfg)
-    model.load_state_arrays(arrays)
+    model = Model(cfg, _read_tensors(entries, data, 12 + meta_len))
     if meta.get("normalizer"):
         try:
             model.normalizer = MeasureNormalizer.from_dict(meta["normalizer"])

@@ -157,19 +157,22 @@ def gated_residual(h, f, gate):
 
 
 def mu_law_compand(x, mu):
-    """sign(x) * ln(1 + mu|x|) / ln(1 + mu), differentiable in x and mu."""
+    """sign(x) * ln(1 + mu|x|) / ln(1 + mu), differentiable in x and mu;
+    y is built in place, and the backward recomputes its terms from x."""
     x, mu = as_tensor(x), as_tensor(mu)
     m = float(mu.data)
-    ax = np.abs(x.data)
-    sign = np.sign(x.data)
     L = float(np.log1p(m))  # a Python float keeps y in x's dtype
-    gnum = np.log1p(m * ax)
-    y = sign * gnum / L
+    y = np.abs(x.data)
+    np.log1p(np.multiply(y, m, out=y), out=y)
+    y *= np.sign(x.data)
+    y /= L
 
     def backward(g):
+        ax = np.abs(x.data)
         if x.requires_grad:
             _accum(x, g * m / ((1.0 + m * ax) * L))
         if mu.requires_grad:
+            sign, gnum = np.sign(x.data), np.log1p(m * ax)
             dmu = sign * (ax / (1.0 + m * ax) * L - gnum / (1.0 + m)) / (L * L)
             _accum(mu, np.array((g * dmu).sum(), dtype=mu.data.dtype))
 

@@ -259,6 +259,47 @@ def test_grad_mu_law():
     check(lambda: ad.mean(nn.mu_law_compand(x, m)), [x, m])
 
 
+def _mu_law_formula(x, m, g):
+    """mu_law_compand's output and its x and mu gradients for the upstream
+    gradient g, each from its closed form with every temporary kept."""
+    ax, sign = np.abs(x), np.sign(x)
+    L = float(np.log1p(m))
+    gnum = np.log1p(m * ax)
+    dmu = sign * (ax / (1.0 + m * ax) * L - gnum / (1.0 + m)) / (L * L)
+    return (sign * gnum / L, g * m / ((1.0 + m * ax) * L),
+            np.array((g * dmu).sum(), dtype=np.float32))
+
+
+def test_mu_law_matches_the_formula_bit_for_bit():
+    rng = np.random.default_rng(19)
+    x = rng.normal(scale=0.3, size=(3, 1, 1000)).astype(np.float32)
+    x[0, 0, :6] = [0.0, -0.0, 1.0, -1.0, 1e-30, -7.5]
+    g = rng.normal(size=x.shape).astype(np.float32)
+    xt = ad.Tensor(x, requires_grad=True)
+    mt = ad.Tensor(np.array(8.0, dtype=np.float32), requires_grad=True)
+    y = nn.mu_law_compand(xt, mt)
+    y._backward(g)
+    want = _mu_law_formula(x, 8.0, g)
+    for got, w in zip((y.data, xt.grad, mt.grad), want):
+        assert got.dtype == w.dtype == np.float32
+        assert got.tobytes() == w.tobytes()
+
+
+def test_mu_law_forward_holds_only_its_output():
+    x = np.random.default_rng(20).normal(
+        size=(16, 1, 48128)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            before = tracemalloc.get_traced_memory()[0]
+            y = nn.mu_law_compand(x, 8.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert y.data.shape == x.shape
+    assert peak <= 2 * x.nbytes + 65536
+
+
 def test_grad_stats_pool():
     rng = np.random.default_rng(9)
     x = t64(rng, 2, 3, 10)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sesqa import ad, cli, model, nn
 from sesqa.audio import write_wav
+from sesqa.measures import MeasureNormalizer
 from sesqa.model import (INFER_BATCH, LATENT_DIM, MIN_INPUT_SAMPLES,
                          CheckpointError, Model, ModelConfig, load_checkpoint,
                          save_checkpoint)
@@ -362,6 +363,56 @@ def test_checkpoint_error_cases(tmp_path, small_model):
     no_config.write_bytes(blob[:8] + struct.pack("<I", len(meta)) + meta)
     with pytest.raises(CheckpointError):
         load_checkpoint(no_config)
+
+
+def test_load_checkpoint_draws_no_random_number(tmp_path, small_model,
+                                                monkeypatch):
+    """The loaded model's tensors are the file's, each in an array of its
+    own, so that no view keeps the file's bytes alive; no RNG is made."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model, path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint made an RNG")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    got = load_checkpoint(path).state_arrays()
+    for name, a in small_model.state_arrays().items():
+        np.testing.assert_array_equal(got[name], a)
+        assert got[name].flags.owndata, name
+
+
+@pytest.mark.parametrize("dropped", ["enc.m", "enc.res0.bn_pre.running_var"])
+def test_checkpoint_missing_tensor(tmp_path, small_model, monkeypatch,
+                                   dropped):
+    """A file without one of the model's tensors, a scalar or a running
+    stat, gives CheckpointError and exit code 4."""
+    arrays = {k: a for k, a in small_model.state_arrays().items()
+              if k != dropped}
+    path, wav = tmp_path / "short.ckpt", tmp_path / "x.wav"
+    with monkeypatch.context() as m:
+        m.setattr(small_model, "state_arrays", lambda: arrays)
+        save_checkpoint(small_model, path)
+    with pytest.raises(CheckpointError, match="missing tensor %s" % dropped):
+        load_checkpoint(path)
+    write_wav(speechlike(seed=8, seconds=1.0), wav)
+    assert cli.main(["score", "--checkpoint", str(path), str(wav)]) \
+        == cli.EXIT_CHECKPOINT
+
+
+def test_checkpoint_resave_is_byte_identical(tmp_path):
+    m = Model(ModelConfig(channel_mult=0.125, measure_names=("ssnr", "llr"),
+                          seed=4))
+    rng = np.random.default_rng(21)
+    for bn in m.bns.values():
+        bn.running_mean[...] = rng.normal(size=bn.running_mean.shape)
+        bn.running_var[...] = rng.uniform(0.1, 3.0, bn.running_var.shape)
+    m.normalizer = MeasureNormalizer(means={"ssnr": 0.1, "llr": -2.5},
+                                     stds={"ssnr": 1 / 3, "llr": 7.25})
+    p0, p1 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(m, p0)
+    save_checkpoint(load_checkpoint(p0), p1)
+    assert p1.read_bytes() == p0.read_bytes()
 
 
 def test_checkpoint_with_pair_head_loads(tmp_path, small_model, monkeypatch):

@@ -10,6 +10,8 @@ It writes to OUT:
 * all, mos, jnd, no_mr (.ckpt and .jsonl): library `train()` on the toy
   set of tests/toyrun.py (9 quadruples, 2 epochs of batch 3, MOS, JND
   and measure vectors, one vector missing STOI) under four loss masks;
+* reload.ckpt, `save_checkpoint(load_checkpoint(all.ckpt))`, so that the
+  loader's reading of every tensor and of the normalizer is compared too;
 * cli (.ckpt, .jsonl): `sesqa train` with the default mask, --mos and
   --jnd on 6 generated quadruples; the FLAGs are added to this run only;
 * cli_no_mr (.ckpt, .jsonl): the same run with every loss but mr.
@@ -31,7 +33,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from sesqa.audio import write_wav                            # noqa: E402
 from sesqa.cli import main                                   # noqa: E402
 from sesqa.measures import MEASURE_NAMES                     # noqa: E402
-from sesqa.model import Model, ModelConfig, save_checkpoint  # noqa: E402
+from sesqa.model import (Model, ModelConfig,                 # noqa: E402
+                         load_checkpoint, save_checkpoint)
 from sesqa.objectives import LOSS_NAMES                      # noqa: E402
 from sesqa.training import TrainConfig, train                # noqa: E402
 from conftest import speechlike                              # noqa: E402
@@ -57,6 +60,7 @@ def library_runs(out: Path) -> None:
         cfg = TrainConfig(epochs=2, batch_size=3, loss_mask=mask, seed=11)
         train(Model(cfg7), cfg, quads, mos, jnd, lookup,
               out / (label + ".jsonl"), out / (label + ".ckpt"))
+    save_checkpoint(load_checkpoint(out / "all.ckpt"), out / "reload.ckpt")
 
 
 def cli_runs(out: Path, flags) -> None:
