@@ -192,15 +192,15 @@ class Model:
         def step(h):
             B, _, T = h.shape
             y = np.empty((B, len(W2), -(-T // 4) if pool else T), h.dtype)
-            row = np.empty((len(W2), T), h.dtype) if pool else None
+            row = np.empty((len(W2), T + 4), h.dtype) if pool else None
             for yi, cols in zip(y, nn._tap_columns(h, K)):
-                r = row if pool else yi
+                r = row[:, 2:-2] if pool else yi
                 np.matmul(W2, cols, out=r)
                 r += b
                 if relu:
                     np.maximum(r, 0, out=r)
                 if pool:
-                    nn._blur4(r, out=yi)
+                    nn._blur4(row, out=yi)
             return y
         return step
 
@@ -225,7 +225,8 @@ class Model:
         return self._layer(src, name, c_in, self.config.ch(width), taps=4)
 
     def _pool_forward(self, name, h, train):
-        return nn.blurpool(self._run_layer(name, h, train, relu=True), 4)
+        h = nn.conv1d(h, self.params[name + ".w"], self.params[name + ".b"])
+        return nn.blurpool(h, 4, bn=self.bns[name + ".bn"], train=train)
 
     def _res_build(self, src, name, c_in):
         c = self._bn(src, name + ".bn_pre", c_in)

@@ -1,8 +1,8 @@
 """Network building blocks on top of the autodiff core.
 
 Shapes follow the (batch, channels, time) convention for sequence ops and
-(batch, features) for dense layers. `batchnorm` can carry the ReLU that
-follows it, with the mask from its output (see BatchNorm).
+(batch, features) for dense layers. `batchnorm` can carry the ReLU after
+it, and `blurpool` the BatchNorm and ReLU before it (see BatchNorm).
 """
 
 from __future__ import annotations
@@ -90,54 +90,79 @@ def conv1d(x, w, b):
     return _make(y, (x, w, b), backward)
 
 
-def _blur4(x, out=None):
-    """The forward of blurpool on x (..., T): binomial blur, reflect pad,
-    stride 4, as a polyphase sum: window j's taps 0-3 are row j of the
-    padded input seen as (..., To, 4), its tap 4 is row j+1's first sample.
-    blurpool calls it on the batch; Model.infer on one (F, T) row at a
-    time, so that no padded copy of the batch is made."""
-    ker = BLUR_KERNEL.astype(x.dtype)
-    To = -(-x.shape[-1] // 4)
-    xp = np.pad(x, ((0, 0),) * (x.ndim - 1) + ((2, 2),), mode="reflect")
-    y = np.matmul(xp[..., :4 * To].reshape(*x.shape[:-1], To, 4), ker[:4],
+def _blur4(xp, out=None):
+    """The forward of blurpool on x = xp[..., 2:-2], after writing xp's
+    2-sample reflect pad: binomial blur, stride 4, as a polyphase sum:
+    window j's taps 0-3 are row j of xp seen as (..., To, 4), its tap 4 is
+    row j+1's first sample. blurpool calls it on a padded copy of the batch,
+    or with bn on one (C, T+4) row buffer at a time as Model.infer does."""
+    ker = BLUR_KERNEL.astype(xp.dtype)
+    To = -(-(xp.shape[-1] - 4) // 4)
+    xp[..., :2] = xp[..., 4:2:-1]
+    xp[..., -2:] = xp[..., -4:-6:-1]
+    y = np.matmul(xp[..., :4 * To].reshape(*xp.shape[:-1], To, 4), ker[:4],
                   out=out)
     y += ker[4] * xp[..., 4:4 * To + 1:4]
     return y
 
 
-def blurpool(x, factor=4):
-    """Anti-aliased downsampling by 4 (see _blur4), differentiable in x."""
+def _blur4_backward(g, dx):
+    """The backward of _blur4, from g (..., To) into dx (..., T), which it
+    returns. No padded buffer: tap k of window j is padded position 4j + k,
+    so dx[4j + k - 2]; taps 0-3 write disjoint phases, tap 4 adds to the
+    phase of tap 0, and only tap 4 reaches past 4To - 3."""
+    ker = BLUR_KERNEL.astype(dx.dtype)
+    T, To = dx.shape[-1], g.shape[-1]
+    dx[..., 4 * To - 2:] = 0
+    for k in range(5):
+        j0, j1 = int(k < 2), min(To, (T + 1 - k) // 4 + 1)
+        phase = dx[..., 4 * j0 + k - 2:4 * j1 + k - 2:4]
+        if k < 4:
+            np.multiply(g[..., j0:j1], ker[k], out=phase)
+        else:
+            phase += ker[4] * g[..., j0:j1]
+    # the reflected pad positions 0, 1, T+2, T+3 fold onto 2, 1, T-2, T-3
+    for p, t in ((0, 2), (1, 1), (T + 2, T - 2), (T + 3, T - 3)):
+        dx[..., t] += sum(ker[k] * g[..., (p - k) // 4] for k in range(5)
+                          if k <= p < 4 * To + k and (p - k) % 4 == 0)
+    return dx
+
+
+def blurpool(x, factor=4, bn=None, train=False):
+    """Anti-aliased downsampling by 4 (see _blur4), differentiable in x.
+    With a BatchNorm state `bn`, blurpool(relu(batchnorm(x))) one batch row
+    at a time, keeping no normalized or padded batch: the backward masks
+    each row with the ReLU mask recomputed from x, then runs BatchNorm's
+    two passes in place on dx, the one (B, C, T) array it makes."""
     x = as_tensor(x)
     B, C, T = x.data.shape
     if factor != 4 or T < len(BLUR_KERNEL):
         raise ValueError("blurpool needs factor 4 and 5 samples, not %d, %d"
                          % (factor, T))
-    ker = BLUR_KERNEL.astype(x.data.dtype)
-    To = -(-T // 4)
-    y = _blur4(x.data)
+    if bn is None:
+        xp = np.pad(x.data, ((0, 0), (0, 0), (2, 2)))   # _blur4 reflects it
+        return _make(_blur4(xp), (x,), lambda g: _accum(
+            x, _blur4_backward(g, np.empty((B, C, T), dtype=g.dtype))))
+
+    gamma, beta = bn.gamma, bn.beta
+    mu, ivstd, scale, shift = _bn_affine(x.data, gamma.data, beta.data, bn,
+                                         train)
+    y = np.empty((B, C, -(-T // 4)), dtype=x.data.dtype)
+    row = np.empty((C, T + 4), dtype=x.data.dtype)
+    for xi, yi in zip(x.data, y):
+        _bn_row(xi, scale, shift, True, row[:, 2:-2])
+        _blur4(row, out=yi)
 
     def backward(g):
-        if not x.requires_grad:
-            return
-        # no padded buffer: tap k of window j is padded position 4j + k, so
-        # dx[4j + k - 2]; taps 0-3 write disjoint phases, tap 4 adds to the
-        # phase of tap 0, and only tap 4 reaches past 4To - 3
         dx = np.empty((B, C, T), dtype=g.dtype)
-        dx[..., 4 * To - 2:] = 0
-        for k in range(5):
-            j0, j1 = int(k < 2), min(To, (T + 1 - k) // 4 + 1)
-            phase = dx[..., 4 * j0 + k - 2:4 * j1 + k - 2:4]
-            if k < 4:
-                np.multiply(g[..., j0:j1], ker[k], out=phase)
-            else:
-                phase += ker[4] * g[..., j0:j1]
-        # the reflected pad positions 0, 1, T+2, T+3 fold onto 2, 1, T-2, T-3
-        for p, t in ((0, 2), (1, 1), (T + 2, T - 2), (T + 3, T - 3)):
-            dx[..., t] += sum(ker[k] * g[..., (p - k) // 4] for k in range(5)
-                              if k <= p < 4 * To + k and (p - k) % 4 == 0)
+        row = np.empty((C, T), dtype=x.data.dtype)
+        gm_rows = (np.multiply(_blur4_backward(gi, dxi),
+                               _bn_row(xi, scale, shift, False, row) > 0,
+                               out=dxi) for gi, xi, dxi in zip(g, x.data, dx))
+        _bn_backward(gm_rows, dx, x.data, mu, ivstd, scale, train, gamma, beta)
         _accum(x, dx)
 
-    return _make(y, (x,), backward)
+    return _make(y, (x, gamma, beta), backward)
 
 
 def gated_residual(h, f, gate):
@@ -168,13 +193,19 @@ def mu_law_compand(x, mu):
     y /= L
 
     def backward(g):
-        ax = np.abs(x.data)
+        a = np.abs(x.data)
         if x.requires_grad:
-            _accum(x, g * m / ((1.0 + m * ax) * L))
+            _accum(x, g * m / ((1.0 + m * a) * L))
         if mu.requires_grad:
-            sign, gnum = np.sign(x.data), np.log1p(m * ax)
-            dmu = sign * (ax / (1.0 + m * ax) * L - gnum / (1.0 + m)) / (L * L)
-            _accum(mu, np.array((g * dmu).sum(), dtype=mu.data.dtype))
+            # dmu in two buffers, in its closed form's order of operations
+            b = np.multiply(a, m)
+            np.multiply(np.divide(a, np.add(b, 1.0, out=b), out=b), L, out=b)
+            np.log1p(np.multiply(a, m, out=a), out=a)
+            np.subtract(b, np.divide(a, 1.0 + m, out=a), out=b)
+            b *= np.sign(x.data, out=a)
+            b /= L * L
+            _accum(mu, np.array(np.multiply(g, b, out=b).sum(),
+                                dtype=mu.data.dtype))
 
     return _make(y, (x, mu), backward)
 
@@ -185,17 +216,12 @@ def stats_pool(x):
     B, C, T = x.data.shape
     mu = x.data.mean(axis=2)
     centered = x.data - mu[:, :, None]
-    var = np.mean(centered ** 2, axis=2)
-    std = np.sqrt(var + STATS_EPS)
+    std = np.sqrt(np.mean(centered ** 2, axis=2) + STATS_EPS)
     y = np.concatenate([mu, std], axis=1)
 
     def backward(g):
-        if not x.requires_grad:
-            return
-        gm = g[:, :C]
-        gs = g[:, C:]
-        dx = gm[:, :, None] / T + gs[:, :, None] * centered / (T * std[:, :, None])
-        _accum(x, dx)
+        _accum(x, g[:, :C, None] / T
+               + g[:, C:, None] * centered / (T * std[:, :, None]))
 
     return _make(y, (x,), backward)
 
@@ -219,11 +245,10 @@ class BatchNorm:
     mu for sgx. These row sums were checked to give the same bits at 1 and
     2 BLAS threads.
 
-    relu=True clamps the output at zero in place. Every encoder BatchNorm
-    that a ReLU follows carries it (enc.pool*.bn, enc.res*.bn_pre,
-    enc.res*.conv0/conv1.bn, enc.mlp0.bn), so the graph keeps one array
-    where BN and ReLU kept two, and the ReLU mask comes from that output:
-    y > 0 exactly where the affine output is positive.
+    relu=True clamps the output at zero in place, and the ReLU mask is
+    y > 0. The encoder's res and mlp BatchNorms carry their ReLU this way;
+    enc.pool*.bn runs inside blurpool(bn=...), which keeps no normalized
+    batch and recomputes the mask from x in the forward's float32 ops.
     """
 
     def __init__(self, num_features, dtype=np.float32):
@@ -264,65 +289,79 @@ def _channel_moments(x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (pilot + m1).astype(x3.dtype), var.astype(x3.dtype)
 
 
+def _bn_affine(x3, gamma, beta, state, train):
+    """mu, 1/std, scale and (C, 1) shift of y = x*scale + shift on x3: in
+    train mode from the batch moments, stored as the running stats."""
+    if train:
+        if x3.shape[0] * x3.shape[2] < 2:
+            raise ValueError("batch statistics need more than one element")
+        mu, var = _channel_moments(x3)
+        state.running_mean[...] = mu
+        state.running_var[...] = var
+    else:
+        mu = state.running_mean.astype(x3.dtype)
+        var = state.running_var.astype(x3.dtype)
+    ivstd = 1.0 / np.sqrt(var + BN_EPS)
+    scale = gamma * ivstd
+    return mu, ivstd, scale, (beta - scale * mu)[:, None]
+
+
+def _bn_row(xi, scale, shift, relu, out):
+    """One (C, T) row of BatchNorm's affine into out, then the ReLU."""
+    np.multiply(xi, scale[:, None], out=out)
+    out += shift
+    if relu:
+        np.maximum(out, 0, out=out)
+    return out
+
+
+def _bn_backward(gm_rows, dx3, x3, mu, ivstd, scale, train, gamma, beta):
+    """BatchNorm's backward into dx3 (B,C,T) from the rows of the masked
+    upstream gradient gm, each yielded by gm_rows once ready (dx3 may hold
+    gm). Pass 1 takes the row sums sg = sum(gm), sgx = sum(gm * (x - mu))
+    (see BatchNorm); pass 2 writes dx = a*gm + b*x + c per channel in train
+    mode, a*gm in eval mode."""
+    B, C, T = x3.shape
+    ones = np.ones(T, dtype=dx3.dtype)
+    tmp = np.empty((C, T), dtype=dx3.dtype)   # one row, both passes
+    sg, sgx = np.zeros((2, C))
+    gm = []
+    for gmi, xi in zip(gm_rows, x3):
+        gm.append(gmi)
+        sg += gmi @ ones
+        sgx += np.einsum("ct,ct->c", gmi,
+                         np.subtract(xi, mu[:, None], out=tmp))
+    dgamma = (sgx * ivstd).astype(dx3.dtype)
+    _accum(gamma, dgamma)
+    _accum(beta, sg.astype(dx3.dtype))
+    bb = -scale * ivstd * dgamma / (B * T)
+    cc = -scale * sg.astype(dx3.dtype) / (B * T) - bb * mu
+    for gmi, xi, dxi in zip(gm, x3, dx3):
+        np.multiply(gmi, scale[:, None], out=dxi)
+        if train:
+            dxi += np.multiply(xi, bb[:, None], out=tmp)
+            dxi += cc[:, None]
+
+
 def batchnorm(x, gamma, beta, state: BatchNorm, train: bool,
               relu: bool = False):
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim not in (2, 3):
         raise ValueError("batchnorm expects 2-D or 3-D input")
     x3 = _as3(x.data)
-    n = x3.shape[0] * x3.shape[2]
-
-    if train:
-        if n < 2:
-            raise ValueError("batch statistics need more than one element")
-        mu, var = _channel_moments(x3)
-        state.running_mean[...] = mu
-        state.running_var[...] = var
-    else:
-        mu = state.running_mean.astype(x.data.dtype)
-        var = state.running_var.astype(x.data.dtype)
-
-    ivstd = 1.0 / np.sqrt(var + BN_EPS)
-    # fused affine y = x * scale + shift, one batch row at a time
-    scale = gamma.data * ivstd
-    shift = (beta.data - scale * mu)[:, None]
+    mu, ivstd, scale, shift = _bn_affine(x3, gamma.data, beta.data, state,
+                                         train)
     out = np.empty_like(x.data)
     y = _as3(out)
     for xi, yi in zip(x3, y):
-        np.multiply(xi, scale[:, None], out=yi)
-        yi += shift
-        if relu:
-            np.maximum(yi, 0, out=yi)
+        _bn_row(xi, scale, shift, relu, yi)
 
     def backward(g):
-        # pass 1 over the rows: the ReLU-masked gradient gm (kept in dx)
-        # and its channel sums sg = sum(gm) and sgx = sum(gm * (x - mu)),
-        # for dgamma, dbeta and dx. Each row's sums are taken in g's dtype,
-        # sg as a GEMV and sgx as an einsum, and accumulated across rows in
-        # float64; x is centred on mu first, so that sgx does not cancel
-        # when |mu| >> std
         dx = np.empty(x.data.shape, dtype=g.dtype)
-        gm = _as3(dx) if relu else _as3(g)
-        ones = np.ones(x3.shape[2], dtype=g.dtype)
-        tmp = np.empty(x3.shape[1:], dtype=g.dtype)   # one row, both passes
-        sg, sgx = np.zeros((2, len(mu)))
-        for gi, xi, yi, gmi in zip(_as3(g), x3, y, gm):
-            if relu:
-                np.multiply(gi, yi > 0, out=gmi)
-            sg += gmi @ ones
-            sgx += np.einsum("ct,ct->c", gmi,
-                             np.subtract(xi, mu[:, None], out=tmp))
-        dgamma = (sgx * ivstd).astype(g.dtype)
-        _accum(gamma, dgamma)
-        _accum(beta, sg.astype(g.dtype))
-        # pass 2: dx = a*gm + b*x + c per channel in train mode, a*gm in eval
-        bb = -scale * ivstd * dgamma / n
-        cc = -scale * sg.astype(g.dtype) / n - bb * mu
-        for gmi, xi, dxi in zip(gm, x3, _as3(dx)):
-            np.multiply(gmi, scale[:, None], out=dxi)
-            if train:
-                dxi += np.multiply(xi, bb[:, None], out=tmp)
-                dxi += cc[:, None]
+        g3, dx3 = _as3(g), _as3(dx)
+        gm_rows = (np.multiply(gi, yi > 0, out=dxi)
+                   for gi, yi, dxi in zip(g3, y, dx3)) if relu else g3
+        _bn_backward(gm_rows, dx3, x3, mu, ivstd, scale, train, gamma, beta)
         _accum(x, dx)
 
     return _make(out, (x, gamma, beta), backward)

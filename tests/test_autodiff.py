@@ -252,6 +252,85 @@ def test_blurpool_backward_keeps_no_padded_copy():
     assert peak < 1.5 * x.data.nbytes
 
 
+def _bn_state(rng, C, dtype):
+    """A BatchNorm of C channels with random gamma, beta and running stats."""
+    state = nn.BatchNorm(C, dtype=dtype)
+    state.gamma.data[...] = rng.uniform(0.5, 1.5, C)
+    state.beta.data[...] = rng.normal(0, 0.5, C)
+    state.running_mean[...] = rng.normal(size=C)
+    state.running_var[...] = rng.uniform(0.5, 2.0, C)
+    return state
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_grad_blurpool_bn(train):
+    rng = np.random.default_rng(21)
+    state = _bn_state(rng, 3, np.float64)
+    for T in (20, 22, 23):
+        x = t64(rng, 2, 3, T)
+        w = ad.Tensor(rng.normal(size=(2, 3, -(-T // 4))))
+
+        def fn():
+            # keep running stats fixed so repeated forwards are identical
+            saved = state.running_mean.copy(), state.running_var.copy()
+            out = ad.mean(nn.blurpool(x, 4, bn=state, train=train) * w)
+            state.running_mean, state.running_var = saved
+            return out
+
+        check(fn, [x, state.gamma, state.beta])
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("shape", [(3, 8, 48128), (4, 128, 188)],
+                         ids=["pool0", "res"])
+def test_blurpool_bn_matches_batchnorm_then_blurpool(shape, train):
+    """The BatchNorm prologue gives the bits of batchnorm(relu=True) then
+    blurpool: y, every gradient and both running stats."""
+    rng = np.random.default_rng(22)
+    C = shape[1]
+    x = (rng.normal(0, 2, (1, C, 1))
+         + rng.normal(size=shape)).astype(np.float32)
+    g = rng.normal(size=shape[:2] + (-(-shape[2] // 4),)).astype(np.float32)
+    out = []
+    for fused in (True, False):
+        state = _bn_state(np.random.default_rng(23), C, np.float32)
+        xt = ad.Tensor(x, requires_grad=True)
+        if fused:
+            y = nn.blurpool(xt, 4, bn=state, train=train)
+        else:
+            y = nn.blurpool(state(xt, train, relu=True), 4)
+        ad.tensor_sum(y * ad.Tensor(g)).backward()
+        out.append((y.data, xt.grad, state.gamma.grad, state.beta.grad,
+                    state.running_mean, state.running_var))
+    for name, a, b in zip(("y", "dx", "dgamma", "dbeta", "running_mean",
+                           "running_var"), *out):
+        assert a.dtype == np.float32 and np.array_equal(a, b), name
+
+
+def test_blurpool_bn_keeps_no_batch_copy():
+    # the graph keeps x and the output, no normalized or padded batch, and
+    # the backward makes dx and a few rows
+    rng = np.random.default_rng(24)
+    x = ad.Tensor(rng.normal(size=(8, 4, 48000)).astype(np.float32),
+                  requires_grad=True)
+    state = nn.BatchNorm(4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = nn.blurpool(x, 4, bn=state, train=True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        g = rng.normal(size=y.shape).astype(np.float32)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert retained - y.data.nbytes < 64 * 1024
+    assert x.grad.shape == x.data.shape and state.gamma.grad is not None
+    assert peak < 1.5 * x.data.nbytes
+
+
 def test_grad_mu_law():
     rng = np.random.default_rng(8)
     x = ad.Tensor(rng.uniform(-1, 1, size=(2, 1, 16)), requires_grad=True)
@@ -283,6 +362,18 @@ def test_mu_law_matches_the_formula_bit_for_bit():
     for got, w in zip((y.data, xt.grad, mt.grad), want):
         assert got.dtype == w.dtype == np.float32
         assert got.tobytes() == w.tobytes()
+
+
+def test_mu_law_mu_gradient_matches_the_formula_at_batch_size():
+    # the mu gradient is formed in two reused buffers; at a training
+    # batch's row length it keeps the closed form's bits
+    rng = np.random.default_rng(25)
+    x = rng.normal(scale=0.3, size=(8, 1, 48128)).astype(np.float32)
+    x[3, 0, :4] = [0.0, -0.0, 1.0, -1.0]
+    g = rng.normal(size=x.shape).astype(np.float32)
+    mt = ad.Tensor(np.array(8.0, dtype=np.float32), requires_grad=True)
+    nn.mu_law_compand(ad.Tensor(x), mt)._backward(g)
+    assert mt.grad.tobytes() == _mu_law_formula(x, 8.0, g)[2].tobytes()
 
 
 def test_mu_law_forward_holds_only_its_output():
@@ -439,14 +530,24 @@ for i, shape in enumerate(json.loads(sys.argv[1])):
         for a in (y.data, xt.grad, state.gamma.grad, state.beta.grad,
                   state.running_mean, state.running_var):
             h.update(a.tobytes())
+    if len(shape) == 3:   # the BatchNorm prologue of blurpool
+        state = nn.BatchNorm(C)
+        xt = ad.Tensor(x, requires_grad=True)
+        y = nn.blurpool(xt, 4, bn=state, train=True)
+        g4 = rng.normal(size=y.shape).astype(np.float32)
+        ad.tensor_sum(y * ad.Tensor(g4)).backward()
+        for a in (y.data, xt.grad, state.gamma.grad, state.beta.grad,
+                  state.running_mean, state.running_var):
+            h.update(a.tobytes())
 print(h.hexdigest())
 """
 
 
 def test_batchnorm_bits_do_not_depend_on_blas_threads():
-    """Train-mode BatchNorm forward and backward, run at 1 and at 2 BLAS
-    threads in two fresh processes, give bit-identical outputs: the GEMV
-    row sums add no thread-count dependence of their own."""
+    """Train-mode BatchNorm forward and backward, alone and as the prologue
+    of blurpool, run at 1 and at 2 BLAS threads in two fresh processes,
+    give bit-identical outputs: the GEMV row sums add no thread-count
+    dependence of their own."""
     shapes = [(4, 8, 48128), (4, 16, 12032), (4, 128, 188), (44, 400),
               (3, 5, 999)]
     src = str(Path(nn.__file__).resolve().parents[1])
