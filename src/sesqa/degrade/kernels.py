@@ -9,8 +9,11 @@ transcoder hook in `transcode`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy import ndimage, signal
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft, ndimage, signal
 
 from ..audio import (AudioFormatError, AudioFrame, CANONICAL_RATE,
                      DegenerateInputError)
@@ -67,12 +70,12 @@ def _colored_noise(n: int, exponent: float,
                    rng: np.random.Generator) -> np.ndarray:
     """1/f^exponent noise via spectral shaping of white noise."""
     white = rng.normal(size=n)
-    spec = np.fft.rfft(white)
-    f = np.fft.rfftfreq(n)
+    spec = sp_fft.rfft(white)
+    f = sp_fft.rfftfreq(n)
     shape = np.ones_like(f)
     shape[1:] = f[1:] ** (-exponent)
     shape[0] = 0.0
-    return np.fft.irfft(spec * shape, n)
+    return sp_fft.irfft(spec * shape, n)
 
 
 def _tone(n: int, freq: float, waveform: str,
@@ -363,14 +366,48 @@ def _k_tremolo(x, spec, **_):
 
 # --------------------------------------------------------- STFT family
 
+@functools.cache
+def _hann(n):
+    """The periodic Hann window of length `n` (read-only) and its sum."""
+    if n % 2:
+        raise ValueError("STFT window %d is odd; the hop must be half" % n)
+    win = signal.get_window("hann", n)
+    win.flags.writeable = False
+    return win, win.sum()
+
+
 def _stft(x, spec):
-    """STFT with a Hann window of the spec's length and half overlap."""
-    return signal.stft(x, nperseg=int(spec.aux_params.get("window", 1024)))[2]
+    """STFT with a Hann window of the spec's length and half overlap.
+
+    Bit for bit scipy's `stft(x, nperseg=window)[2]`, down to its layout
+    (a (freq, time) view of a (time, freq) array, so later sums run in
+    the same order), but the window is kept on a signal shorter than it:
+    the half-window zero pad at each end always gives a whole frame.
+    """
+    n = int(spec.aux_params.get("window", 1024))
+    win, total = _hann(n)
+    h = n // 2
+    xp = np.concatenate([np.zeros(h), x, np.zeros(h + (-len(x)) % h)])
+    z = sp_fft.rfft(sliding_window_view(xp, n)[::h] * win)
+    z *= np.sqrt(1.0 / total ** 2)
+    return z.T
 
 
 def _istft(z, spec, n):
-    y = signal.istft(z, nperseg=int(spec.aux_params.get("window", 1024)))[1]
-    return _fit(y, n)
+    """Bit for bit scipy's `istft(z, nperseg=window)[1]`, fit to `n`.
+
+    With hop = window/2 every kept output block is the second half of
+    segment j-1 plus the first half of segment j, so the overlap-add is
+    two slab adds; starting from 0.0 keeps scipy's loop's signed zeros.
+    """
+    win, total = _hann(int(spec.aux_params.get("window", 1024)))
+    h = len(win) // 2
+    seg = sp_fft.irfft((z + 0j).T, n=len(win))     # one segment a row
+    seg *= total
+    seg *= win
+    y = (0.0 + seg[:-1, h:]) + seg[1:, :h]
+    y /= win[h:] ** 2 + win[:h] ** 2       # >= 0.5 for a Hann window
+    return _fit(y.ravel(), n)
 
 
 def _k_griffin_lim(x, spec, **_):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from sesqa.audio import AudioFormatError, AudioFrame
 from sesqa.degrade import (CleanPool, DegradationSpec, apply_chain,
                            apply_degradation, generate_quadruple,
                            sample_chain, sample_spec)
+from sesqa.degrade import kernels
 from sesqa.degrade.chains import FIRST_STAGE, SECOND_STAGE
-from sesqa.degrade.kinds import (KIND_NAMES, NATIVE_KINDS, TRANSCODE_KINDS,
-                                 UnavailableDegradationError,
+from sesqa.degrade.kinds import (KIND_NAMES, NATIVE_KINDS, STFT_WINDOW_CHOICES,
+                                 TRANSCODE_KINDS, UnavailableDegradationError,
                                  kind_probabilities, strength_to_params)
 from sesqa.degrade.quadruples import (CLEAN_INDEX, N_DT_CLASSES,
                                       chain_targets, iter_quadruples,
@@ -123,6 +125,78 @@ def test_kernel_preserves_length_and_sanity(kind):
         assert np.all(np.isfinite(out.samples))
         if kind != "reverse":
             assert not np.array_equal(out.samples, frame.samples), (kind, s)
+
+
+# --------------------------------------- STFT family: scipy bit for bit
+
+STFT_KINDS = ("griffin_lim", "phase_randomization", "phase_shuffle",
+              "spectrogram_convolution", "spectrogram_holes",
+              "spectrogram_noise")
+
+
+def _scipy_stft(x, spec):
+    return signal.stft(x, nperseg=spec.aux_params["window"])[2]
+
+
+def _scipy_istft(z, spec, n):
+    y = signal.istft(z, nperseg=spec.aux_params["window"])[1]
+    return y[:n] if len(y) >= n else np.pad(y, (0, n - len(y)))
+
+
+@pytest.mark.parametrize("window", STFT_WINDOW_CHOICES)
+def test_stft_and_istft_match_scipy_bytes(window):
+    spec = DegradationSpec(kind="griffin_lim", strength=0.5,
+                           aux_params={"window": window})
+    rng = np.random.default_rng(window)
+    # 52800 and 4096 are whole hops at every window; 52801 and 4097 not
+    for n in (4096, 4097, 52800, 52801):
+        x = rng.normal(size=n)
+        z = kernels._stft(x, spec)
+        ref = _scipy_stft(x, spec)
+        assert z.shape == ref.shape and z.strides == ref.strides
+        assert z.tobytes() == ref.tobytes()
+        holed = np.where(rng.random(z.shape) < 0.5, 0.0, z)
+        # inverts to zeros of both signs; scipy's loop adds them to 0.0
+        tiny = np.zeros_like(z)
+        tiny[1, ::2], tiny[1, 1::2] = 5e-324, -5e-324
+        for spectrum in (z, holed, tiny):
+            y = kernels._istft(spectrum, spec, n)
+            assert y.dtype == np.float64
+            assert y.tobytes() == _scipy_istft(spectrum, spec, n).tobytes()
+
+
+@pytest.mark.parametrize("kind", STFT_KINDS)
+def test_stft_kernels_match_scipy_reference(kind, monkeypatch):
+    x = speechlike(seed=21, seconds=1.1).samples.astype(np.float64)
+    assert len(x) == 52800
+    rng = np.random.default_rng(len(kind))
+    specs = [sample_spec(kind, rng) for _ in range(4)]
+    ours = [kernels._KERNELS[kind](x, spec) for spec in specs]
+    monkeypatch.setattr(kernels, "_stft", _scipy_stft)
+    monkeypatch.setattr(kernels, "_istft", _scipy_istft)
+    for spec, y in zip(specs, ours):
+        assert y.tobytes() == kernels._KERNELS[kind](x, spec).tobytes(), spec
+
+
+@pytest.mark.parametrize("kind", STFT_KINDS)
+def test_stft_kinds_on_a_frame_shorter_than_the_window(kind):
+    frame = speechlike(seed=22, seconds=2000 / RATE)
+    spec = sample_spec(kind, np.random.default_rng(5))
+    spec = DegradationSpec(kind=kind, strength=spec.strength, seed=spec.seed,
+                           aux_params={**spec.aux_params, "window": 4096})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_degradation(frame, spec)
+    assert len(out) == len(frame) == 2000
+    assert np.all(np.isfinite(out.samples))
+
+
+def test_stft_kinds_refuse_an_odd_window():
+    # the overlap-add assumes hop = window / 2 exactly
+    spec = DegradationSpec(kind="griffin_lim", strength=0.5,
+                           aux_params={"window": 1001})
+    with pytest.raises(ValueError, match="odd"):
+        apply_degradation(speechlike(seed=23, seconds=0.1), spec)
 
 
 def test_degradation_rejects_other_rates():
