@@ -410,6 +410,15 @@ def _istft(z, spec, n):
     return _fit(y.ravel(), n)
 
 
+def _with_phase(mag, z):
+    """`mag` with the phase of `z`; a bin where `z` is 0 gets phase 0."""
+    a = np.abs(z)
+    zero = a == 0
+    if zero.any():
+        z, a = np.where(zero, 1.0, z), np.where(zero, 1.0, a)
+    return z * (mag / a)
+
+
 def _k_griffin_lim(x, spec, **_):
     z = _stft(x, spec)
     mag = np.abs(z)
@@ -419,7 +428,7 @@ def _k_griffin_lim(x, spec, **_):
     for _ in range(GRIFFIN_LIM_ITERS):
         y = _istft(est, spec, len(x))
         z2 = _stft(y, spec)
-        est = mag * np.exp(1j * np.angle(z2))
+        est = _with_phase(mag, z2)
     return _istft(est, spec, len(x))
 
 
@@ -440,7 +449,7 @@ def _k_phase_shuffle(x, spec, **_):
     cols = np.flatnonzero(rng.random(z.shape[1]) < frac)
     if len(cols) > 1:
         perm = rng.permutation(cols)
-        z[:, cols] = np.abs(z[:, cols]) * np.exp(1j * np.angle(z[:, perm]))
+        z[:, cols] = _with_phase(np.abs(z[:, cols]), z[:, perm])
     return _istft(z, spec, len(x))
 
 

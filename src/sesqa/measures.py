@@ -263,18 +263,16 @@ def stoi(reference, degraded) -> float:
     xd = np.sqrt((np.abs(rfft(df, _STOI_NFFT, axis=1)) ** 2) @ _STOI_BANDS.T)
 
     clip_gain = 10.0 ** (-_STOI_CLIP_DB / 20.0)
-    corrs = []
-    for m in range(_STOI_SEG, len(xr) + 1):
-        X = xr[m - _STOI_SEG:m]  # (30, 15)
-        Y = xd[m - _STOI_SEG:m]
-        alpha = np.sqrt(np.sum(X ** 2, axis=0)
-                        / np.maximum(np.sum(Y ** 2, axis=0), _EPS))
-        Yc = np.minimum(Y * alpha, X * clip_gain)
-        Xc = X - X.mean(axis=0)
-        Yc = Yc - Yc.mean(axis=0)
-        denom = (np.linalg.norm(Xc, axis=0) * np.linalg.norm(Yc, axis=0))
-        corrs.append(np.sum(Xc * Yc, axis=0) / np.maximum(denom, _EPS))
-    return float(np.mean(corrs))
+    # every analysis segment at once: (segments, 30 frames, 15 bands)
+    X = sliding_window_view(xr, _STOI_SEG, axis=0).transpose(0, 2, 1)
+    Y = sliding_window_view(xd, _STOI_SEG, axis=0).transpose(0, 2, 1)
+    alpha = np.sqrt(np.sum(X ** 2, axis=1, keepdims=True)
+                    / np.maximum(np.sum(Y ** 2, axis=1, keepdims=True), _EPS))
+    Yc = np.minimum(Y * alpha, X * clip_gain)
+    Xc = X - X.mean(axis=1, keepdims=True)
+    Yc = Yc - Yc.mean(axis=1, keepdims=True)
+    denom = np.linalg.norm(Xc, axis=1) * np.linalg.norm(Yc, axis=1)
+    return float(np.mean(np.sum(Xc * Yc, axis=1) / np.maximum(denom, _EPS)))
 
 
 # ----------------------------------------------------------------- SISDR

@@ -178,6 +178,50 @@ def test_stft_kernels_match_scipy_reference(kind, monkeypatch):
         assert y.tobytes() == kernels._KERNELS[kind](x, spec).tobytes(), spec
 
 
+def test_with_phase_keeps_magnitude_and_phase():
+    rng = np.random.default_rng(24)
+    z = (rng.normal(size=(129, 400)) + 1j * rng.normal(size=(129, 400))
+         ) * np.logspace(-30, 3, 400)
+    mag = rng.uniform(0.0, 10.0, size=z.shape)
+    est = kernels._with_phase(mag, z)
+    np.testing.assert_allclose(np.abs(est), mag,
+                               rtol=4 * np.finfo(float).eps, atol=0)
+    wrapped = np.angle(est * np.exp(-1j * np.angle(z)))
+    assert np.max(np.abs(wrapped)) < 1e-12
+
+
+def test_with_phase_gives_a_zero_bin_phase_0():
+    z = np.array([1 + 1j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                  complex(-0.0, -0.0), -2j])
+    mag = np.array([2.0, 3.0, 4.0, 5.0, 6.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = kernels._with_phase(mag, z)
+    np.testing.assert_array_equal(est[1:5], mag[1:5])
+    np.testing.assert_allclose(est[[0, 5]], [np.sqrt(2) * (1 + 1j), -0.5j],
+                               rtol=1e-15)
+
+
+def _trig_phase(mag, z):
+    """The projection as `np.angle` and `exp` write it: the reference."""
+    return mag * np.exp(1j * np.angle(z))
+
+
+@pytest.mark.parametrize("kind", ["griffin_lim", "phase_shuffle"])
+def test_phase_kernels_match_the_trigonometric_step(kind, monkeypatch):
+    x = speechlike(seed=21, seconds=1.1).samples.astype(np.float64)
+    assert len(x) == 52800
+    specs = [DegradationSpec(kind=kind, strength=0.7, seed=window,
+                             aux_params={"window": window})
+             for window in STFT_WINDOW_CHOICES]
+    ours = [kernels._KERNELS[kind](x, spec) for spec in specs]
+    monkeypatch.setattr(kernels, "_with_phase", _trig_phase)
+    for spec, y in zip(specs, ours):
+        ref = kernels._KERNELS[kind](x, spec)
+        assert not np.array_equal(y, x)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), spec
+
+
 @pytest.mark.parametrize("kind", STFT_KINDS)
 def test_stft_kinds_on_a_frame_shorter_than_the_window(kind):
     frame = speechlike(seed=22, seconds=2000 / RATE)

@@ -223,3 +223,46 @@ def test_llr_matches_toeplitz_lpc(clean, snr_db):
         vals.append(np.log((a_d @ big_r @ a_d) / (a_r @ big_r @ a_r)))
     assert np.isclose(measures.llr(ref, deg), np.mean(vals),
                       rtol=1e-9, atol=0)
+
+
+def _stoi_loop(ref, deg):
+    """STOI with its segments taken one at a time: the reference."""
+    m = measures
+    r = m.resample_poly(ref, m._STOI_RATE, RATE)
+    d = m.resample_poly(deg, m._STOI_RATE, RATE)
+    rf = _frame_gather(r, m._STOI_FRAME, m._STOI_HOP, m._STOI_WIN)
+    df = _frame_gather(d, m._STOI_FRAME, m._STOI_HOP, m._STOI_WIN)
+    energy = 20.0 * np.log10(np.linalg.norm(rf, axis=1) + m._EPS)
+    keep = energy > energy.max() - m._STOI_VAD_RANGE_DB
+    rf, df = rf[keep], df[keep]
+    xr = np.sqrt((np.abs(m.rfft(rf, m._STOI_NFFT, axis=1)) ** 2)
+                 @ m._STOI_BANDS.T)
+    xd = np.sqrt((np.abs(m.rfft(df, m._STOI_NFFT, axis=1)) ** 2)
+                 @ m._STOI_BANDS.T)
+    clip_gain = 10.0 ** (-m._STOI_CLIP_DB / 20.0)
+    corrs = []
+    for k in range(m._STOI_SEG, len(xr) + 1):
+        X = xr[k - m._STOI_SEG:k]  # (30, 15)
+        Y = xd[k - m._STOI_SEG:k]
+        alpha = np.sqrt(np.sum(X ** 2, axis=0)
+                        / np.maximum(np.sum(Y ** 2, axis=0), m._EPS))
+        Yc = np.minimum(Y * alpha, X * clip_gain)
+        Xc = X - X.mean(axis=0)
+        Yc = Yc - Yc.mean(axis=0)
+        denom = (np.linalg.norm(Xc, axis=0) * np.linalg.norm(Yc, axis=0))
+        corrs.append(np.sum(Xc * Yc, axis=0) / np.maximum(denom, m._EPS))
+    return float(np.mean(corrs))
+
+
+def test_stoi_matches_loop(clean):
+    rng = np.random.default_rng(8)
+    ref = clean.astype(np.float64)
+    # noise at three SNRs, a quiet stretch the VAD drops, and a gain
+    quiet = ref.copy()
+    quiet[20000:40000] *= 1e-4
+    pairs = [(ref, _at_snr(clean, rng.normal(size=len(clean)), snr))
+             for snr in (20.0, 5.0, -5.0)]
+    pairs += [(quiet, quiet[::-1].copy()), (ref, 0.3 * ref)]
+    for r, d in pairs:
+        d = np.asarray(d, dtype=np.float64)
+        assert measures.stoi(r, d) == _stoi_loop(r, d)

@@ -12,7 +12,10 @@ It writes to OUT, from a 5-file `speechlike` pool:
   manifest (.jsonl), and the manifest with OUT replaced by "OUT"
   (.masked), which is what two trees can compare;
 * specs.txt: 6 `sample_spec` draws for each of the 37 kinds, each with
-  the SHA-256 of the native kernel's output on one frame.
+  the SHA-256 of the native kernel's output on one frame; then griffin_lim
+  and phase_shuffle (strength 0.7, seed 11) at every window in
+  STFT_WINDOW_CHOICES, with the same hash, so that each window size their
+  phase step runs at is compared, not only those the draws pick.
 
 Compare two trees with `cmp` on each .masked file and specs.txt, and
 `diff -r` on each WAV directory.
@@ -29,8 +32,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np                                            # noqa: E402
 from sesqa.audio import write_wav                             # noqa: E402
 from sesqa.cli import main                                    # noqa: E402
-from sesqa.degrade import apply_degradation, sample_spec      # noqa: E402
-from sesqa.degrade.kinds import KIND_NAMES, NATIVE_KINDS      # noqa: E402
+from sesqa.degrade import (DegradationSpec,                   # noqa: E402
+                           apply_degradation, sample_spec)
+from sesqa.degrade.kinds import (KIND_NAMES, NATIVE_KINDS,    # noqa: E402
+                                 STFT_WINDOW_CHOICES)
 from conftest import speechlike                               # noqa: E402
 
 
@@ -63,15 +68,18 @@ def write_outputs(out: Path) -> None:
         m.with_suffix(".masked").write_text(
             m.read_text().replace(str(out), "OUT"))
     frame = speechlike(seed=15, seconds=1.0)
+    specs = [sample_spec(kind, np.random.default_rng([k, i]))
+             for k, kind in enumerate(KIND_NAMES) for i in range(6)]
+    specs += [DegradationSpec(kind, 0.7, {"window": window}, seed=11)
+              for kind in ("griffin_lim", "phase_shuffle")
+              for window in STFT_WINDOW_CHOICES]
     with open(out / "specs.txt", "w") as f:
-        for k, kind in enumerate(KIND_NAMES):
-            for i in range(6):
-                spec = sample_spec(kind, np.random.default_rng([k, i]))
-                line = json.dumps(spec.to_dict())
-                if kind in NATIVE_KINDS:
-                    y = apply_degradation(frame, spec).samples
-                    line += " " + hashlib.sha256(y.tobytes()).hexdigest()
-                f.write(line + "\n")
+        for spec in specs:
+            line = json.dumps(spec.to_dict())
+            if spec.kind in NATIVE_KINDS:
+                y = apply_degradation(frame, spec).samples
+                line += " " + hashlib.sha256(y.tobytes()).hexdigest()
+            f.write(line + "\n")
 
 
 if __name__ == "__main__":
