@@ -80,19 +80,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, mul_const(as_tensor(other), -1.0))
 
-    def __rsub__(self, other):
-        return add(as_tensor(other), mul_const(self, -1.0))
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __neg__(self):
@@ -275,8 +266,6 @@ def index_select(a, idx, axis=0):
     idx = np.asarray(idx, dtype=np.intp)
 
     def backward(g):
-        if not a.requires_grad:
-            return
         buf = np.zeros_like(a.data)
         np.add.at(buf, (slice(None),) * axis + (idx,), g)
         _accum(a, buf)

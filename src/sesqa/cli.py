@@ -172,6 +172,7 @@ def cmd_train(args) -> int:
                             measure_names=MEASURE_NAMES if with_mr else ())
     for path in filter(None, (args.out, args.log)):
         _check_new_file(path)
+    model = Model(model_cfg)   # before any data: a width too large fails now
 
     quads = _load_quads(args.quadruples)
     mos_items = jnd_items = None
@@ -186,7 +187,6 @@ def cmd_train(args) -> int:
             i: compute_measure_vector(q.x_ik.samples, q.x_jk.samples)
             for i, q in enumerate(quads)}
 
-    model = Model(model_cfg)
     train(model, cfg, quads, mos_items=mos_items, jnd_items=jnd_items,
           measure_lookup=measure_lookup, log_path=args.log,
           checkpoint_path=args.out)
@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     except FloatingPointError as e:
         print("numerical failure: %s" % e, file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, ValueError, PoolExhaustedError,
+    except (OSError, ValueError, MemoryError, PoolExhaustedError,
             UnavailableDegradationError) as e:   # unreadable or bad input
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

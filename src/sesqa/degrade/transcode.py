@@ -6,10 +6,10 @@ user-configured command template, e.g.::
     ffmpeg -y -i {in} -c:a {codec} -b:a {bitrate}k {out}
 
 The template must contain the placeholders {in}, {out}, {codec} and
-{bitrate}; it is invoked twice implicitly (encode+decode) by whatever tool
-the user configures producing a WAV at {out}. When no template is
-configured these kinds are unavailable and their sampling probability is
-redistributed over the native kinds.
+{bitrate}. It runs once per degradation, so the command itself must encode
+{in} with the codec and decode the result to a WAV at {out}. When no
+template is configured these kinds are unavailable and their sampling
+probability is redistributed over the native kinds.
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ HEAD_HIDDEN = 400
 # The auxiliary heads, in the creation order that fixes the checkpoint's
 # RNG draws and tensor order: name -> (reads a concatenated latent pair,
 # has a HEAD_HIDDEN-unit ReLU layer, output through a sigmoid). Each head
-# ends in its own BatchNorm; mr is an unbounded regression.
+# ends in its own BatchNorm, always in train mode (nothing reads its
+# running stats); mr is an unbounded regression.
 HEADS = {"jnd": (True, False, True), "dt": (False, False, True),
          "sd": (True, True, True), "ds": (False, True, True),
          "mr": (True, True, False)}
@@ -340,8 +341,9 @@ class Model:
         with ad.no_grad():
             return self.score(np.asarray(z) - np.asarray(z_ref)).data
 
-    def head_forward(self, head_id: str, z_a, z_b=None, train: bool = False):
-        """Run one auxiliary head of HEADS; pair heads need two latents."""
+    def head_forward(self, head_id: str, z_a, z_b=None):
+        """Run one auxiliary head of HEADS, its BatchNorm in train mode;
+        pair heads need two latents."""
         if head_id not in HEADS:
             raise ValueError("unknown head %r" % head_id)
         pair, _, sigmoid = HEADS[head_id]
@@ -356,7 +358,7 @@ class Model:
             if i:
                 h = ad.relu(h)
             h = nn.linear(h, p[prefix + "w"], p[prefix + "b"])
-        h = self.bns["head.%s.bn" % head_id](h, train)
+        h = self.bns["head.%s.bn" % head_id](h, train=True)
         return ad.sigmoid(h) if sigmoid else h
 
     # ------------------------------------------------------- persistence

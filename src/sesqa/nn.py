@@ -232,7 +232,7 @@ class BatchNorm:
     Works on (B,F) with channel axis 1, and on (B,C,T) with channel axis 1.
     Train mode normalizes with the batch statistics and stores them as
     the running stats; eval mode normalizes with the running stats.
-    Training ends with one recalibration pass (training.recalibrate_bn),
+    Training ends with one train-mode encoder pass (training.recalibrate_bn),
     whose stats Model.infer folds into the layer before each BatchNorm.
     Eval mode itself runs only in tests and in Model.encode(train=False),
     the reference that infer is tested against.

@@ -19,7 +19,7 @@ from . import ad, objectives
 from .audio import read_wav_48k
 from .manifest import finite, read_jsonl, str_field
 from .measures import fit_normalizer
-from .model import HEADS, Model, save_checkpoint
+from .model import Model, save_checkpoint
 
 FRAME_SAMPLES = 48000
 
@@ -304,17 +304,13 @@ def swa_finalize(state: SwaState, model: Model, sample_frames) -> None:
 
 
 def recalibrate_bn(model: Model, sample_frames) -> None:
-    """Set every BN's running stats to the batch stats of one sample.
+    """Set every encoder BN's running stats to the batch stats of one
+    sample; the heads' BNs run only in train mode and are left as they are.
 
-    A train-mode pass stores each BN's batch statistics as its running
+    A train-mode encode stores each BN's batch statistics as its running
     stats; no gradient is needed, so the pass builds no autodiff graph."""
     with ad.no_grad():
-        z = model.encode(np.asarray(sample_frames), train=True).data
-        half = z.shape[0] // 2
-        if half >= 1:
-            for name, (pair, _, _) in HEADS.items():
-                latents = (z[:half], z[half:2 * half]) if pair else (z,)
-                model.head_forward(name, *latents, train=True)
+        model.encode(np.asarray(sample_frames), train=True)
 
 
 # ------------------------------------------------------------- main loop
@@ -359,22 +355,21 @@ def _batch_losses(model: Model, batch: Batch, loss_mask: tuple) -> dict:
                 "sd", ad.index_select(z_quad, np.concatenate(
                     [ik, ik + 2, ik]), axis=0),
                 ad.index_select(z_quad, np.concatenate(
-                    [ik + 1, ik + 3, ik + 2]), axis=0), train=True)
+                    [ik + 1, ik + 3, ik + 2]), axis=0))
             labels = np.concatenate([np.ones(2 * n_q), np.zeros(n_q)])
             comp["sd"] = objectives.loss_sd(ad.reshape(p_sd, (-1,)), labels)
         # cut order ik,il,jk,jl -> chain order i,i,j,j
         if "dt" in loss_mask:
-            p_dt = model.head_forward("dt", z_quad, train=True)
+            p_dt = model.head_forward("dt", z_quad)
             tgt = batch.dt_targets[:, (0, 0, 1, 1), :].reshape(4 * n_q, -1)
             comp["dt"] = objectives.loss_dt(p_dt, tgt)
         if "ds" in loss_mask:
-            p_ds = model.head_forward("ds", z_quad, train=True)
+            p_ds = model.head_forward("ds", z_quad)
             tgt = batch.ds_targets[:, (0, 0, 1, 1), :].reshape(4 * n_q, -1)
             comp["ds"] = objectives.loss_ds(p_ds, tgt)
         if "mr" in loss_mask and batch.mr_targets is not None and n_q >= 2:
             p_mr = model.head_forward("mr", _rows(z_quad, 0, 4 * n_q, 4),
-                                      _rows(z_quad, 2, 4 * n_q, 4),
-                                      train=True)
+                                      _rows(z_quad, 2, 4 * n_q, 4))
             comp["mr"] = objectives.loss_mr(p_mr, batch.mr_targets,
                                             mask=batch.mr_mask)
 
@@ -400,7 +395,7 @@ def _batch_losses(model: Model, batch: Batch, loss_mask: tuple) -> dict:
         z_a = _rows(z_jnd, 0, 2 * n_j, 2)
         z_b = _rows(z_jnd, 1, 2 * n_j, 2)
         if "jnd" in loss_mask and n_j >= 2:
-            p_jnd = model.head_forward("jnd", z_a, z_b, train=True)
+            p_jnd = model.head_forward("jnd", z_a, z_b)
             comp["jnd"] = objectives.loss_jnd(ad.reshape(p_jnd, (-1,)),
                                               batch.jnd_targets)
         # noticeable pairs are distinguishable: feed the consistency margin

@@ -9,11 +9,12 @@ from sesqa import cli
 from sesqa.cli import (EXIT_CHECKPOINT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                        UsageError, main, resolve_option)
 from sesqa.audio import write_wav
+from sesqa.degrade.chains import ChainDistribution
 from sesqa.measures import MEASURE_NAMES
 from sesqa.model import load_checkpoint
 from sesqa.objectives import LOSS_NAMES
 
-from conftest import speechlike, wav_bytes
+from conftest import speechlike, wav_bytes, write_skipped_wavs
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,46 @@ def test_generate_usage_errors(tmp_path):
                  "--n", "2"]) == EXIT_USAGE
     assert main(["generate", "--pool", str(tmp_path), "--n", "0"]) \
         == EXIT_USAGE
+
+
+def test_generate_check_passes(workdir, monkeypatch, capsys):
+    """The sampler follows both stages' nominal distributions: one ok line
+    per chain length, three first-stage and four second-stage."""
+    monkeypatch.setattr(cli, "CHECK_DRAWS", 4000)
+    rc = main(["generate", "--pool", str(workdir["pool"]), "--n", "1",
+               "--check", "--seed", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == EXIT_OK
+    assert len(lines) == 7 and all(line.endswith(" ok") for line in lines)
+
+
+def test_generate_check_flags_a_distribution_off(workdir, monkeypatch,
+                                                 capsys):
+    """Against a first-stage distribution the sampler does not follow,
+    --check prints OFF and exits 3."""
+    monkeypatch.setattr(cli, "CHECK_DRAWS", 4000)
+    monkeypatch.setattr(cli, "FIRST_STAGE",
+                        ChainDistribution((0, 1, 2), (0.5, 0.3, 0.2)))
+    rc = main(["generate", "--pool", str(workdir["pool"]), "--n", "1",
+               "--check", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert rc == EXIT_NUMERICAL
+    assert "first stage length 0: " in out and " OFF\n" in out
+
+
+def test_generate_pool_with_no_usable_file(tmp_path, capsys):
+    """A pool whose every file is at another rate, shorter than 1.1 s or
+    silent exits 2 with one message line, and writes no manifest."""
+    (tmp_path / "pool").mkdir()
+    write_skipped_wavs(tmp_path / "pool")
+    manifest = tmp_path / "q.jsonl"
+    rc = main(["generate", "--pool", str(tmp_path / "pool"), "--n", "2",
+               "--out", str(tmp_path / "q"), "--manifest", str(manifest)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: no usable parent frame")
+    assert err.count("\n") == 1
+    assert not manifest.exists()
 
 
 def test_resolve_option_precedence(monkeypatch):
@@ -209,6 +250,25 @@ def test_train_batch_size_below_one(workdir, tmp_path, flags, message,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+def test_train_width_too_large_to_allocate(workdir, tmp_path, capsys,
+                                           monkeypatch):
+    """A width whose model cannot be allocated exits 2 with one message
+    line, before any data is read. 1e13 asks for more than any 48-bit
+    address space, so the first allocation fails at once."""
+    def never(*args, **kwargs):
+        raise AssertionError("read data for a model that cannot be built")
+
+    monkeypatch.setattr(cli, "_load_quads", never)
+    monkeypatch.setattr(cli, "train", never)
+    out = tmp_path / "x.ckpt"
+    rc = main(["train", "--quadruples", str(workdir["manifest"]),
+               "--out", str(out), "--channels", "1e13"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

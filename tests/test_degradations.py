@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from sesqa.audio import AudioFormatError, AudioFrame
+from sesqa.audio import AudioFormatError, AudioFrame, write_wav
 from sesqa.degrade import (CleanPool, DegradationSpec, apply_chain,
                            apply_degradation, generate_quadruple,
                            sample_chain, sample_spec)
@@ -16,12 +16,13 @@ from sesqa.degrade.kinds import (KIND_NAMES, NATIVE_KINDS, STFT_WINDOW_CHOICES,
                                  TRANSCODE_KINDS, UnavailableDegradationError,
                                  kind_probabilities, strength_to_params)
 from sesqa.degrade.quadruples import (CLEAN_INDEX, N_DT_CLASSES,
-                                      chain_targets, iter_quadruples,
+                                      PoolExhaustedError, chain_targets,
+                                      iter_quadruples,
                                       read_quadruple_manifest,
                                       write_quadruple_manifest)
 from sesqa.degrade.transcode import validate_template
 
-from conftest import speechlike
+from conftest import speechlike, write_skipped_wavs
 
 RATE = 48000
 
@@ -404,6 +405,42 @@ def test_quadruple_structure(pool):
     # clean first cut is possible; flag must match the chain
     if not q.chain_i:
         assert q.dt_targets_i[CLEAN_INDEX] == 1.0
+
+
+def test_clean_pool_datasets_and_skipped_files(tmp_path, monkeypatch):
+    """Each subdirectory is a dataset, and the loose WAVs form one more;
+    a file at another rate, one shorter than 1.1 s and a silent cut are
+    drawn and skipped, so every parent comes from a usable file."""
+    for sub in ("a", "b", "empty"):
+        (tmp_path / sub).mkdir()
+    good = [tmp_path / "loose.wav", tmp_path / "a" / "good.wav",
+            tmp_path / "b" / "good.wav"]
+    for i, path in enumerate(good):
+        write_wav(speechlike(seed=40 + i, seconds=1.3), path)
+    (tmp_path / "a" / "notes.txt").write_text("not audio")
+    skipped = write_skipped_wavs(tmp_path / "b")
+
+    pool = CleanPool.from_directory(tmp_path)
+    assert pool.names == sorted(["a", "b", tmp_path.name])
+    assert pool.datasets["a"] == [good[1]]
+    assert pool.datasets["b"] == sorted(skipped + [good[2]])
+    assert pool.datasets[tmp_path.name] == [good[0]]
+
+    loaded = []
+    load = pool._load
+    monkeypatch.setattr(pool, "_load",
+                        lambda item: loaded.append(item) or load(item))
+    parents = {generate_quadruple(pool, np.random.default_rng([12, i]))
+               .parent_id for i in range(30)}
+    assert parents <= {str(p) for p in good}
+    assert set(skipped) <= set(loaded)     # each skip rule was reached
+
+
+def test_clean_pool_of_skipped_files_is_exhausted(tmp_path):
+    write_skipped_wavs(tmp_path)
+    pool = CleanPool.from_directory(tmp_path)
+    with pytest.raises(PoolExhaustedError, match="no usable parent frame"):
+        pool.sample_parent(np.random.default_rng(0))
 
 
 def test_chain_targets_clean_and_max_strength():

@@ -266,3 +266,18 @@ def test_stoi_matches_loop(clean):
     for r, d in pairs:
         d = np.asarray(d, dtype=np.float64)
         assert measures.stoi(r, d) == _stoi_loop(r, d)
+
+
+def test_vector_leaves_out_a_measure_that_declines():
+    """On 0.35 s cuts STOI has fewer than 30 active frames and raises
+    DegenerateInputError; the vector leaves it out and keeps the other
+    six measures."""
+    clean = speechlike(seed=91, seconds=0.35).samples
+    noise = np.random.default_rng(5).normal(size=len(clean)).astype(
+        np.float32)
+    degraded = _at_snr(clean, noise, 10.0)
+    with pytest.raises(measures.DegenerateInputError):
+        compute_measure("stoi", clean, degraded)
+    vec = compute_measure_vector(clean, degraded)
+    assert set(vec.values) == set(MEASURE_NAMES) - {"stoi"}
+    assert all(np.isfinite(v) for v in vec.values.values())

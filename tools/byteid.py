@@ -14,15 +14,23 @@ It writes to OUT:
   loader's reading of every tensor and of the normalizer is compared too;
 * cli (.ckpt, .jsonl): `sesqa train` with the default mask, --mos and
   --jnd on 6 generated quadruples; the FLAGs are added to this run only;
-* cli_no_mr (.ckpt, .jsonl): the same run with every loss but mr.
+* cli_no_mr (.ckpt, .jsonl): the same run with every loss but mr;
+* tensors.txt: one line per tensor of each checkpoint above, with the
+  file, the tensor name and a SHA-256 prefix of its bytes, after one
+  line for the file's metadata block (config and normalizer).
 
-Compare two trees with `cmp` on each file. The float32 matmul sums
-depend on the BLAS thread count, so both runs must use the same count;
+Compare two trees with `cmp` on each file. A change that moves a named
+set of tensors on purpose is checked with `diff` on tensors.txt, which
+then shows exactly those lines. The float32 matmul sums depend on the
+BLAS thread count, so both runs must use the same count;
 OPENBLAS_NUM_THREADS defaults to 1 here.
 """
 
+import hashlib
 import json
+import math
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -30,6 +38,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import numpy as np                                           # noqa: E402
 from sesqa.audio import write_wav                            # noqa: E402
 from sesqa.cli import main                                   # noqa: E402
 from sesqa.measures import MEASURE_NAMES                     # noqa: E402
@@ -95,8 +104,27 @@ def cli_runs(out: Path, flags) -> None:
                                 "--log", str(out / (label + ".jsonl"))])
 
 
+def tensor_lines(path: Path):
+    """Lines `<file> <name> <hash>` for the metadata block, then each
+    tensor of the checkpoint at `path`, read by the file's own layout:
+    magic, version, metadata length, metadata JSON, the tensors in order."""
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", data, 8)
+    meta = data[12:12 + meta_len]
+    yield "%s <meta> %s" % (path.name, hashlib.sha256(meta).hexdigest()[:16])
+    offset = 12 + meta_len
+    for entry in json.loads(meta)["tensors"]:
+        n = math.prod(entry["shape"]) * np.dtype(entry["dtype"]).itemsize
+        digest = hashlib.sha256(data[offset:offset + n]).hexdigest()[:16]
+        yield "%s %s %s" % (path.name, entry["name"], digest)
+        offset += n
+
+
 if __name__ == "__main__":
     out = Path(sys.argv[1]).resolve()
     out.mkdir(parents=True, exist_ok=True)
     library_runs(out)
     cli_runs(out, sys.argv[2:])
+    (out / "tensors.txt").write_text("".join(
+        line + "\n" for ckpt in sorted(out.glob("*.ckpt"))
+        for line in tensor_lines(ckpt)))
