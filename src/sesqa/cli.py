@@ -105,6 +105,8 @@ def _check_new_file(path) -> None:
 def cmd_generate(args) -> int:
     if args.transcoder_cmd is not None:
         validate_template(args.transcoder_cmd)
+    if args.check:     # draws chain lengths only: reads no audio, needs no --n
+        return _generate_check(args.seed or 0, args.transcoder_cmd)
     if (args.n or 0) <= 0:
         raise UsageError("--n must be a positive integer")
     pool = CleanPool.from_directory(args.pool)
@@ -115,9 +117,6 @@ def cmd_generate(args) -> int:
                       if p.endswith(".wav")]
         if not noise_pool:
             raise UsageError("no WAV files found under %s" % args.noise_pool)
-
-    if args.check:
-        return _generate_check(args.seed or 0, args.transcoder_cmd)
 
     _check_new_file(args.manifest)
     write_quadruple_manifest(

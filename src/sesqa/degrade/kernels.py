@@ -103,14 +103,10 @@ def _noise_mix(x, spec, noise):
 def _k_additive_noise(x, spec, noise_pool=None):
     rng = _rng(spec)
     if noise_pool:
-        item = noise_pool[int(rng.integers(len(noise_pool)))]
-        src = item.samples if isinstance(item, AudioFrame) else np.asarray(item)
+        src = noise_pool[int(rng.integers(len(noise_pool)))].samples
         if len(src) >= len(x):
-            off = int(rng.integers(0, len(src) - len(x) + 1))
-            noise = np.array(src[off:off + len(x)], dtype=np.float64)
-        else:
-            reps = int(np.ceil(len(x) / len(src)))
-            noise = np.tile(np.asarray(src, dtype=np.float64), reps)[:len(x)]
+            src = src[int(rng.integers(0, len(src) - len(x) + 1)):]
+        noise = np.resize(src.astype(np.float64), len(x))  # cut or tiled
     else:
         # hermetic fallback: colored noise with a random exponent
         noise = _colored_noise(len(x), rng.uniform(0.0, 0.7), rng)
@@ -174,59 +170,52 @@ def _k_reverse(x, spec, **_):
 
 # -------------------------------------------------------- insert family
 
-def _sections(n, spec):
-    rng = _rng(spec)
-    count = int(spec.aux_params["n_sections"])
-    out = []
-    for _ in range(count):
-        length = int(rng.uniform(0.020, 0.120) * RATE)
-        length = min(length, n)
-        start = int(rng.integers(0, n - length + 1))
-        out.append((start, length))
-    return out, rng
+def _sections(edit):
+    """The kernel that runs `edit(y, x, span, rng)` on a copy `y` of `x`
+    for each of the spec's `n_sections` random spans, all drawn first;
+    `span` is a slice of 20-120 ms."""
+    def kernel(x, spec, **_):
+        rng = _rng(spec)
+        n = len(x)
+        spans = []
+        for _ in range(int(spec.aux_params["n_sections"])):
+            length = min(int(rng.uniform(0.020, 0.120) * RATE), n)
+            start = int(rng.integers(0, n - length + 1))
+            spans.append(slice(start, start + length))
+        y = x.copy()
+        for span in spans:
+            edit(y, x, span, rng)
+        return y
+    return kernel
 
 
-def _k_insert_silence(x, spec, **_):
-    y = x.copy()
-    for start, length in _sections(len(x), spec)[0]:
-        y[start:start + length] = 0.0
-    return y
+@_sections
+def _k_insert_silence(y, x, span, rng):
+    y[span] = 0.0
 
 
-def _k_insert_noise(x, spec, **_):
-    y = x.copy()
-    secs, rng = _sections(len(x), spec)
-    level = np.sqrt(np.mean(x ** 2)) or 1.0
-    for start, length in secs:
-        y[start:start + length] = level * rng.normal(size=length)
-    return y
+@_sections
+def _k_insert_noise(y, x, span, rng):
+    y[span] = (np.sqrt(np.mean(x ** 2)) or 1.0) * rng.normal(
+        size=y[span].shape)
 
 
-def _k_insert_attenuation(x, spec, **_):
-    y = x.copy()
-    secs, rng = _sections(len(x), spec)
-    for start, length in secs:
-        y[start:start + length] *= rng.uniform(0.0, 0.8)
-    return y
+@_sections
+def _k_insert_attenuation(y, x, span, rng):
+    y[span] *= rng.uniform(0.0, 0.8)
 
 
-def _k_perturb_amplitude(x, spec, **_):
-    y = x.copy()
-    secs, rng = _sections(len(x), spec)
-    for start, length in secs:
-        y[start:start + length] *= 1.0 + 0.5 * rng.normal(size=length)
-    return y
+@_sections
+def _k_perturb_amplitude(y, x, span, rng):
+    y[span] *= 1.0 + 0.5 * rng.normal(size=y[span].shape)
 
 
-def _k_sample_duplicate(x, spec, **_):
-    y = x.copy()
-    for start, length in _sections(len(x), spec)[0]:
-        if start == 0:
-            continue
+@_sections
+def _k_sample_duplicate(y, x, span, rng):
+    start, length = span.start, span.stop - span.start
+    if start:
         src = y[max(0, start - length):start]
-        reps = int(np.ceil(length / len(src)))
-        y[start:start + length] = np.tile(src, reps)[:length]
-    return y
+        y[span] = np.tile(src, int(np.ceil(length / len(src))))[:length]
 
 
 # --------------------------------------------------------------- effects
@@ -432,52 +421,53 @@ def _k_griffin_lim(x, spec, **_):
     return _istft(est, spec, len(x))
 
 
-def _k_phase_randomization(x, spec, **_):
-    z = _stft(x, spec)
-    rng = _rng(spec)
-    frac = spec.aux_params.get("affected_fraction", 1.0)
-    cols = rng.random(z.shape[1]) < frac
+def _spectral(edit):
+    """The kernel that runs `edit(z, aux, rng)` on the signal's STFT `z`
+    and returns the inverse STFT of the edited spectrum."""
+    def kernel(x, spec, **_):
+        z = edit(_stft(x, spec), spec.aux_params, _rng(spec))
+        return _istft(z, spec, len(x))
+    return kernel
+
+
+@_spectral
+def _k_phase_randomization(z, aux, rng):
+    cols = rng.random(z.shape[1]) < aux["affected_fraction"]
     phase = rng.uniform(0, 2 * np.pi, size=z.shape)
     z[:, cols] = np.abs(z[:, cols]) * np.exp(1j * phase[:, cols])
-    return _istft(z, spec, len(x))
+    return z
 
 
-def _k_phase_shuffle(x, spec, **_):
-    z = _stft(x, spec)
-    rng = _rng(spec)
-    frac = spec.aux_params.get("affected_fraction", 1.0)
-    cols = np.flatnonzero(rng.random(z.shape[1]) < frac)
+@_spectral
+def _k_phase_shuffle(z, aux, rng):
+    cols = np.flatnonzero(rng.random(z.shape[1]) < aux["affected_fraction"])
     if len(cols) > 1:
         perm = rng.permutation(cols)
         z[:, cols] = _with_phase(np.abs(z[:, cols]), z[:, perm])
-    return _istft(z, spec, len(x))
+    return z
 
 
-def _k_spectrogram_convolution(x, spec, **_):
-    z = _stft(x, spec)
-    sigma = spec.aux_params.get("kernel_sigma", 1.0)
-    z = (ndimage.gaussian_filter(z.real, sigma)
-         + 1j * ndimage.gaussian_filter(z.imag, sigma))
-    return _istft(z, spec, len(x))
+@_spectral
+def _k_spectrogram_convolution(z, aux, rng):
+    sigma = aux["kernel_sigma"]
+    return (ndimage.gaussian_filter(z.real, sigma)
+            + 1j * ndimage.gaussian_filter(z.imag, sigma))
 
 
-def _k_spectrogram_holes(x, spec, **_):
-    z = _stft(x, spec)
-    rng = _rng(spec)
-    drop = rng.random(z.shape) < spec.aux_params["dropout"]
-    z[drop] = 0.0
-    return _istft(z, spec, len(x))
+@_spectral
+def _k_spectrogram_holes(z, aux, rng):
+    z[rng.random(z.shape) < aux["dropout"]] = 0.0
+    return z
 
 
-def _k_spectrogram_noise(x, spec, **_):
-    z = _stft(x, spec)
-    rng = _rng(spec)
-    drop = rng.random(z.shape) < spec.aux_params["dropout"]
+@_spectral
+def _k_spectrogram_noise(z, aux, rng):
+    drop = rng.random(z.shape) < aux["dropout"]
     level = np.mean(np.abs(z))
     mags = level * rng.rayleigh(size=int(drop.sum()))
     phases = rng.uniform(0, 2 * np.pi, size=int(drop.sum()))
     z[drop] = mags * np.exp(1j * phases)
-    return _istft(z, spec, len(x))
+    return z
 
 
 # each native kind's signal processing is the function `_k_<kind>` above

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio import (AudioFrame, CANONICAL_RATE, extract_slice, is_usable,
-                     peak_normalize, read_wav, read_wav_48k, write_wav)
+from ..audio import (AudioFormatError, AudioFrame, CANONICAL_RATE,
+                     extract_slice, is_usable, peak_normalize, read_wav,
+                     read_wav_48k, write_wav)
 from ..manifest import read_jsonl, str_field
 from .chains import DegradationSpec, sample_chain
 from .kernels import apply_chain
@@ -218,9 +219,17 @@ def read_quadruple_manifest(manifest_path) -> list:
 
 
 def load_quadruple(rec) -> Quadruple:
-    """Materialize a manifest record of 48 kHz WAVs into a Quadruple."""
-    frames = {tag: read_wav_48k(rec["wav_" + tag])
-              for tag in ("ik", "il", "jk", "jl")}
+    """Materialize a manifest record of 48 kHz WAVs into a Quadruple. Each
+    cut must have the CUT_SECONDS that `generate` writes, or
+    AudioFormatError names its WAV: scoring stacks the cuts."""
+    n_cut = int(CUT_SECONDS * CANONICAL_RATE)
+    frames = {}
+    for tag in ("ik", "il", "jk", "jl"):
+        path = rec["wav_" + tag]
+        frames[tag] = read_wav_48k(path)
+        if len(frames[tag]) != n_cut:
+            raise AudioFormatError("%s: %d samples, a quadruple cut has %d"
+                                   % (path, len(frames[tag]), n_cut))
     return Quadruple(
         x_ik=frames["ik"], x_il=frames["il"],
         x_jk=frames["jk"], x_jl=frames["jl"],

@@ -127,6 +127,9 @@ def latent_distance_stats(model, quads, return_raw=False) -> dict:
     * same_condition: cuts of the same signal, (ik, il) and (jk, jl)
     * different_degradation: same utterance across chains, (ik, jk), (il, jl)
     * different_utterance: k-cuts of signal i from different quadruples
+
+    A category with no pairs (different_utterance of one quadruple) has
+    count 0 and a mean and std of None, which JSON writes as null.
     """
     n = len(quads)
     if n == 0:
@@ -145,8 +148,8 @@ def latent_distance_stats(model, quads, return_raw=False) -> dict:
     for name, d in (("same_condition", same),
                     ("different_degradation", cross),
                     ("different_utterance", other)):
-        out[name] = {"mean": float(np.mean(d)) if d.size else float("nan"),
-                     "std": float(np.std(d)) if d.size else float("nan"),
+        out[name] = {"mean": float(np.mean(d)) if d.size else None,
+                     "std": float(np.std(d)) if d.size else None,
                      "count": int(d.size)}
         if return_raw:
             out[name]["raw"] = d

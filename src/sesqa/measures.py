@@ -353,15 +353,8 @@ def lmbd(reference, degraded) -> float:
 
 # ----------------------------------------------------------- registry
 
-_REGISTRY = {
-    "ssnr": ssnr,
-    "llr": llr,
-    "wssd": wssd,
-    "stoi": stoi,
-    "sisdr": sisdr,
-    "mcd": mcd,
-    "lmbd": lmbd,
-}
+# each measure is the module function of its name
+_REGISTRY = {name: globals()[name] for name in MEASURE_NAMES}
 
 
 def compute_measure(kind: str, reference, degraded) -> float:

@@ -37,11 +37,18 @@ def write_skipped_wavs(directory) -> list:
 
 
 def wav_bytes(payload: bytes, rate=48000, fmt_tag=3, bits=32,
-              channels=1) -> bytes:
-    """A RIFF/WAVE file with any header values, for malformed-input tests."""
+              channels=1, extensible=False) -> bytes:
+    """A RIFF/WAVE file with any header values, for malformed-input tests.
+    `extensible` writes a WAVE_FORMAT_EXTENSIBLE fmt chunk, whose
+    sub-format GUID leads with `fmt_tag`."""
     block = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate, rate * block,
-                      block, bits)
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else fmt_tag,
+                      channels, rate, rate * block, block, bits)
+    if extensible:
+        # cbSize, valid bits, channel mask, then the GUID xxxx0000-0000-
+        # 0010-8000-00aa00389b71 in its little-endian byte order
+        fmt += struct.pack("<HHIH14s", 22, bits, 0, fmt_tag,
+                           bytes.fromhex("000000001000800000aa00389b71"))
     body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(payload)) + payload)
     return b"RIFF" + struct.pack("<I", len(body)) + body

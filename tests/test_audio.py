@@ -46,6 +46,19 @@ def test_wav_roundtrip(tmp_path, depth):
         assert np.max(np.abs(back.samples - f.samples)) < tol
 
 
+def test_wav_extensible_24_bit_reads_as_plain(tmp_path):
+    """A WAVE_FORMAT_EXTENSIBLE fmt chunk gives the samples of the plain
+    one with the same payload."""
+    payload = np.random.default_rng(4).integers(
+        0, 256, size=3 * 500, dtype=np.uint8).tobytes()
+    plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+    plain.write_bytes(wav_bytes(payload, fmt_tag=1, bits=24))
+    ext.write_bytes(wav_bytes(payload, fmt_tag=1, bits=24, extensible=True))
+    want = read_wav(plain)
+    assert len(want) == 500
+    np.testing.assert_array_equal(read_wav(ext).samples, want.samples)
+
+
 def test_wav_multichannel_downmix(tmp_path):
     # hand-build a 2-channel 16-bit file: L = 0.5, R = -0.5 -> mean 0
     import struct

@@ -91,15 +91,18 @@ def test_generate_usage_errors(tmp_path):
         == EXIT_USAGE
 
 
-def test_generate_check_passes(workdir, monkeypatch, capsys):
+def test_generate_check_passes(workdir, tmp_path, monkeypatch, capsys):
     """The sampler follows both stages' nominal distributions: one ok line
-    per chain length, three first-stage and four second-stage."""
+    per chain length, three first-stage and four second-stage. The check
+    reads no audio, so an empty pool and no --n do as well."""
     monkeypatch.setattr(cli, "CHECK_DRAWS", 4000)
-    rc = main(["generate", "--pool", str(workdir["pool"]), "--n", "1",
-               "--check", "--seed", "3"])
-    lines = capsys.readouterr().out.splitlines()
-    assert rc == EXIT_OK
-    assert len(lines) == 7 and all(line.endswith(" ok") for line in lines)
+    for inputs in (["--pool", str(workdir["pool"]), "--n", "1"],
+                   ["--pool", str(tmp_path)]):
+        rc = main(["generate", "--check", "--seed", "3"] + inputs)
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_OK, inputs
+        assert len(lines) == 7 and all(line.endswith(" ok")
+                                       for line in lines)
 
 
 def test_generate_check_flags_a_distribution_off(workdir, monkeypatch,
@@ -589,6 +592,75 @@ def test_other_rate_quadruples_rejected(workdir, checkpoint, tmp_path,
                "latents", "--quadruples", str(tmp_path / "missing.jsonl")])
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err == "error: latents mode needs --out\n"
+
+
+def test_short_quadruple_cut_rejected(workdir, checkpoint, tmp_path,
+                                      capsys):
+    """A cut that is not the 1 s that `generate` writes is refused when
+    the manifest is loaded, with its WAV named: before any measure vector
+    or training step, so train writes no log record and no checkpoint."""
+    recs = [json.loads(l) for l in
+            workdir["manifest"].read_text().splitlines()[:6]]
+    short = tmp_path / "short.wav"
+    write_wav(speechlike(seed=95, seconds=0.5), short)
+    recs[3]["wav_jl"] = str(short)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    ckpt, log = tmp_path / "x.ckpt", tmp_path / "x.jsonl"
+    for argv in (["train", "--epochs", "1", "--batch-size", "2",
+                  "--channels", "0.125", "--out", str(ckpt),
+                  "--log", str(log)],
+                 ["eval", "--checkpoint", str(checkpoint)],
+                 ["analyze", "--checkpoint", str(checkpoint),
+                  "--mode", "distances"]):
+        assert main(argv + ["--quadruples", str(manifest)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: %s: 24000 samples, a quadruple cut has 48000\n" % short)
+    assert not ckpt.exists()
+    assert not log.exists() or log.read_text() == ""
+
+
+def test_analyze_distances_of_one_quadruple_is_strict_json(
+        workdir, checkpoint, tmp_path):
+    """One quadruple gives no different-utterance pair: that category's
+    mean and std are JSON null, not NaN, which strict parsers reject."""
+    manifest, out = tmp_path / "one.jsonl", tmp_path / "dist.json"
+    manifest.write_text(workdir["manifest"].read_text().splitlines(True)[0])
+    rc = main(["analyze", "--checkpoint", str(checkpoint), "--mode",
+               "distances", "--quadruples", str(manifest), "--out", str(out)])
+    assert rc == EXIT_OK
+
+    def refuse(constant):
+        raise ValueError("%s is not JSON" % constant)
+
+    stats = json.loads(out.read_text(), parse_constant=refuse)
+    assert stats["different_utterance"] == {"mean": None, "std": None,
+                                            "count": 0}
+    assert stats["same_condition"]["count"] == 2
+
+
+def test_analyze_distances_needs_quadruples(tmp_path, capsys):
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "m.ckpt"),
+               "--mode", "distances"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: distances mode needs --quadruples\n"
+
+
+def test_eval_mos_with_equal_labels_has_no_correlations(workdir, tmp_path,
+                                                        capsys):
+    """Correlations with constant labels are undefined: the report leaves
+    them out and eval still exits 0."""
+    recs = [json.loads(l) for l in
+            workdir["mos_manifest"].read_text().splitlines()]
+    manifest = tmp_path / "mos.jsonl"
+    manifest.write_text("".join(json.dumps({**r, "mos": 3.0}) + "\n"
+                                for r in recs))
+    rc = main(["eval", "--random-baseline", "--mos", str(manifest)])
+    assert rc == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert "l_mos" in report
+    assert not {"pearson", "spearman"} & set(report)
 
 
 def test_bad_reference_exit_code(checkpoint, tmp_path, capsys):
