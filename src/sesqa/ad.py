@@ -151,85 +151,53 @@ def mul(a, b):
     return _make(a.data * b.data, (a, b), backward)
 
 
-def mul_const(a, c: float):
+def _unary(a, forward, grad):
+    """Record the one-input op y = forward(x): its backward adds
+    grad(g, x, y) to the input's gradient. Whatever only the gradient needs
+    is computed there, so a forward under no_grad computes and holds none
+    of it."""
     a = as_tensor(a)
+    x = a.data
+    y = forward(x)
+    return _make(y, (a,), lambda g: _accum(a, grad(g, x, y)))
 
-    def backward(g):
-        _accum(a, g * c)
 
-    return _make(a.data * c, (a,), backward)
+def mul_const(a, c: float):
+    return _unary(a, lambda x: x * c, lambda g, x, y: g * c)
 
 
 def add_const(a, c: float):
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, g)
-
-    return _make(a.data + c, (a,), backward)
+    return _unary(a, lambda x: x + c, lambda g, x, y: g)
 
 
 def relu(a):
-    a = as_tensor(a)
-    y = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        _accum(a, g * (y > 0))
-
-    return _make(y, (a,), backward)
+    return _unary(a, lambda x: np.maximum(x, 0.0),
+                  lambda g, x, y: g * (y > 0))
 
 
 def sigmoid(a):
-    a = as_tensor(a)
-    y = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        _accum(a, g * y * (1.0 - y))
-
-    return _make(y, (a,), backward)
+    return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)),
+                  lambda g, x, y: g * y * (1.0 - y))
 
 
 def log(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
+    return _unary(a, np.log, lambda g, x, y: g / x)
 
 
 def softplus(a):
-    """log(1 + e^x), numerically stable."""
-    a = as_tensor(a)
-    y = np.logaddexp(0.0, a.data)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        _accum(a, g * s)
-
-    return _make(y, (a,), backward)
+    """log(1 + e^x), numerically stable; its gradient is sigmoid(x)."""
+    return _unary(a, lambda x: np.logaddexp(0.0, x),
+                  lambda g, x, y: g * (1.0 / (1.0 + np.exp(-x))))
 
 
 def absolute(a):
-    a = as_tensor(a)
-    sign = np.sign(a.data)
-
-    def backward(g):
-        _accum(a, g * sign)
-
-    return _make(np.abs(a.data), (a,), backward)
+    return _unary(a, np.abs, lambda g, x, y: g * np.sign(x))
 
 
 def tensor_sum(a, axis=None):
-    a = as_tensor(a)
-
-    def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
-
-    return _make(a.data.sum(axis=axis), (a,), backward)
+    return _unary(a, lambda x: x.sum(axis=axis),
+                  lambda g, x, y: np.broadcast_to(
+                      g if axis is None else np.expand_dims(g, axis), x.shape))
 
 
 def mean(a):
@@ -238,13 +206,9 @@ def mean(a):
 
 
 def clip(a, lo: float, hi: float):
-    a = as_tensor(a)
-    mask = (a.data > lo) & (a.data < hi)
-
-    def backward(g):
-        _accum(a, g * mask)
-
-    return _make(np.clip(a.data, lo, hi), (a,), backward)
+    """Clamp to [lo, hi]; the gradient passes only strictly inside."""
+    return _unary(a, lambda x: np.clip(x, lo, hi),
+                  lambda g, x, y: g * ((x > lo) & (x < hi)))
 
 
 def concat(tensors, axis=0):
@@ -262,25 +226,19 @@ def concat(tensors, axis=0):
 
 def index_select(a, idx, axis=0):
     """Pick rows along `axis`; backward scatter-adds."""
-    a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
 
-    def backward(g):
-        buf = np.zeros_like(a.data)
+    def grad(g, x, y):
+        buf = np.zeros_like(x)
         np.add.at(buf, (slice(None),) * axis + (idx,), g)
-        _accum(a, buf)
+        return buf
 
-    return _make(np.take(a.data, idx, axis=axis), (a,), backward)
+    return _unary(a, lambda x: np.take(x, idx, axis=axis), grad)
 
 
 def reshape(a, shape):
-    a = as_tensor(a)
-    old = a.data.shape
-
-    def backward(g):
-        _accum(a, np.asarray(g).reshape(old))
-
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _unary(a, lambda x: x.reshape(shape),
+                  lambda g, x, y: np.asarray(g).reshape(x.shape))
 
 
 # --------------------------------------------------------------- losses

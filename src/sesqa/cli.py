@@ -57,9 +57,9 @@ def _load_config_file(path):
     return cfg
 
 
-def resolve_option(name, flag_value, file_config, default=None, cast=str):
+def resolve_option(name, flag_value, file_config, cast=str):
     """file < environment < flag, with type casting."""
-    value = file_config.get(name, default)
+    value = file_config.get(name)
     env = os.environ.get(ENV_PREFIX + name.upper())
     if env is not None:
         value = env
@@ -78,8 +78,10 @@ def resolve_option(name, flag_value, file_config, default=None, cast=str):
 
 def _parse_loss_mask(text):
     """Comma-separated loss names -> a checked mask tuple (ValueError)."""
-    return check_loss_mask(t.strip() for t in str(text).split(",")
-                           if t.strip())
+    if not isinstance(text, str):     # a config file's list, say
+        raise ValueError('expected comma-separated loss names such as '
+                         '"mos,rank"')
+    return check_loss_mask(t.strip() for t in text.split(",") if t.strip())
 
 
 # The settings that a config file or SESQA_<NAME> may also give, with their

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ad import Tensor, _accum, _make, as_tensor
+from .ad import Tensor, _accum, _make, _unary, as_tensor
 
 # Fixed binomial low-pass used before every factor-4 subsampling.
 BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -139,10 +139,10 @@ def blurpool(x, factor=4, bn=None, train=False):
     if factor != 4 or T < len(BLUR_KERNEL):
         raise ValueError("blurpool needs factor 4 and 5 samples, not %d, %d"
                          % (factor, T))
-    if bn is None:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (2, 2)))   # _blur4 reflects it
-        return _make(_blur4(xp), (x,), lambda g: _accum(
-            x, _blur4_backward(g, np.empty((B, C, T), dtype=g.dtype))))
+    if bn is None:   # _blur4 reflects the zero pad
+        return _unary(x, lambda v: _blur4(np.pad(v, ((0, 0), (0, 0), (2, 2)))),
+                      lambda g, v, y: _blur4_backward(
+                          g, np.empty(v.shape, dtype=g.dtype)))
 
     gamma, beta = bn.gamma, bn.beta
     mu, ivstd, scale, shift = _bn_affine(x.data, gamma.data, beta.data, bn,
@@ -211,19 +211,20 @@ def mu_law_compand(x, mu):
 
 
 def stats_pool(x):
-    """Time-axis mean and population std per channel: (B,C,T) -> (B,2C)."""
-    x = as_tensor(x)
-    B, C, T = x.data.shape
-    mu = x.data.mean(axis=2)
-    centered = x.data - mu[:, :, None]
-    std = np.sqrt(np.mean(centered ** 2, axis=2) + STATS_EPS)
-    y = np.concatenate([mu, std], axis=1)
+    """Time-axis mean and population std per channel: (B,C,T) -> (B,2C).
+    The backward reads the mean and std back from y."""
 
-    def backward(g):
-        _accum(x, g[:, :C, None] / T
-               + g[:, C:, None] * centered / (T * std[:, :, None]))
+    def forward(v):
+        mu = v.mean(axis=2)
+        std = np.sqrt(np.mean((v - mu[:, :, None]) ** 2, axis=2) + STATS_EPS)
+        return np.concatenate([mu, std], axis=1)
 
-    return _make(y, (x,), backward)
+    def grad(g, v, y):
+        _, C, T = v.shape
+        mu, std = y[:, :C, None], y[:, C:, None]
+        return g[:, :C, None] / T + g[:, C:, None] * (v - mu) / (T * std)
+
+    return _unary(x, forward, grad)
 
 
 class BatchNorm:

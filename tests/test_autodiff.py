@@ -131,6 +131,25 @@ def test_grad_clamps():
     check(lambda: ad.mean(ad.clip(x, -1.0, 1.0)), [x])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unary_gradients_at_kinks(dtype):
+    """The finite-difference checks stay off kinks; this pins, bit for
+    bit, the gradient each kinked op returns on and beside its kink."""
+    def grad(op, values):
+        x = ad.Tensor(np.array(values, dtype=dtype), requires_grad=True)
+        ad.tensor_sum(op(x)).backward()
+        assert x.grad.dtype == dtype
+        return x.grad.tolist()
+
+    assert grad(ad.relu, [0.0, 0.5]) == [0.0, 1.0]
+    assert grad(ad.absolute, [0.0, -0.0, -0.5]) == [0.0, 0.0, -1.0]
+    assert grad(lambda x: ad.clip(x, -1.0, 1.0),
+                [-1.0, 1.0, -0.5, 0.5, -2.0, 2.0]) == [0, 0, 1, 1, 0, 0]
+    # the consistency margin's form, at and below BETA
+    assert grad(lambda x: ad.clip(x, -np.inf, objectives.BETA),
+                [objectives.BETA, objectives.BETA / 2]) == [0.0, 1.0]
+
+
 def test_grad_losses():
     rng = np.random.default_rng(5)
     p = ad.Tensor(rng.uniform(0.1, 0.9, size=6), requires_grad=True)

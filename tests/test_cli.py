@@ -136,8 +136,8 @@ def test_generate_pool_with_no_usable_file(tmp_path, capsys):
 
 def test_resolve_option_precedence(monkeypatch):
     file_cfg = {"epochs": 5}
-    assert resolve_option("epochs", None, {}, default=3, cast=int) == 3
-    assert resolve_option("epochs", None, file_cfg, default=3, cast=int) == 5
+    assert resolve_option("epochs", None, {}, cast=int) is None
+    assert resolve_option("epochs", None, file_cfg, cast=int) == 5
     # a config file's bool, or its float for an int setting, is refused
     # rather than truncated, as a flag or SESQA_* value of "2.7" is
     for name, value, cast in (("epochs", 2.7, int), ("seed", -3.9, int),
@@ -146,8 +146,8 @@ def test_resolve_option_precedence(monkeypatch):
         with pytest.raises(UsageError, match="bad value for " + name):
             resolve_option(name, None, {name: value}, cast=cast)
     monkeypatch.setenv("SESQA_EPOCHS", "7")
-    assert resolve_option("epochs", None, file_cfg, default=3, cast=int) == 7
-    assert resolve_option("epochs", 9, file_cfg, default=3, cast=int) == 9
+    assert resolve_option("epochs", None, file_cfg, cast=int) == 7
+    assert resolve_option("epochs", 9, file_cfg, cast=int) == 9
     with pytest.raises(UsageError):
         resolve_option("epochs", "many", file_cfg, cast=int)
 
@@ -183,6 +183,22 @@ def test_bad_config_file(tmp_path):
     bad.write_text("[1, 2, 3]")
     assert main(["--config", str(bad), "generate", "--pool", str(tmp_path),
                  "--n", "1"]) == EXIT_USAGE
+
+
+def test_config_loss_mask_must_be_a_string(tmp_path, capsys):
+    # a JSON list is refused by its form, not read as the list's repr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loss_mask": ["mos", "rank"]}))
+    out = tmp_path / "x.ckpt"
+    rc = main(["--config", str(cfg), "train", "--quadruples",
+               str(tmp_path / "q.jsonl"), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        'error: bad value for loss_mask: expected comma-separated loss '
+        'names such as "mos,rank"\n')
+    assert not out.exists()
+    assert resolve_option("loss_mask", None, {"loss_mask": "mos, rank"},
+                          cast=cli._parse_loss_mask) == ("mos", "rank")
 
 
 def test_train_deterministic(workdir, checkpoint, tmp_path):

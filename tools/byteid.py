@@ -15,11 +15,18 @@ It writes to OUT:
 * cli (.ckpt, .jsonl): `sesqa train` with the default mask, --mos and
   --jnd on 6 generated quadruples; the FLAGs are added to this run only;
 * cli_no_mr (.ckpt, .jsonl): the same run with every loss but mr;
+* eval.json: `sesqa eval --checkpoint cli.ckpt --quadruples
+  cli_data/quads.jsonl --mos cli_data/mos.jsonl --kfold 2`, which runs
+  the score head under no_grad and L_CONS through `ad` in float64;
+* score.txt: `sesqa score` of the four rated clips with cli.ckpt, as
+  absolute scores and then with `--reference` the first clip; both run
+  in OUT, so each clip is named by its path relative to OUT;
 * tensors.txt: one line per tensor of each checkpoint above, with the
   file, the tensor name and a SHA-256 prefix of its bytes, after one
   line for the file's metadata block (config and normalizer).
 
-Compare two trees with `cmp` on each file. A change that moves a named
+Compare two trees with `cmp` on each file directly in OUT; cli_data holds
+the inputs, whose manifests name OUT itself. A change that moves a named
 set of tensors on purpose is checked with `diff` on tensors.txt, which
 then shows exactly those lines. The float32 matmul sums depend on the
 BLAS thread count, so both runs must use the same count;
@@ -27,11 +34,13 @@ OPENBLAS_NUM_THREADS defaults to 1 here.
 """
 
 import hashlib
+import io
 import json
 import math
 import os
 import struct
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -104,6 +113,21 @@ def cli_runs(out: Path, flags) -> None:
                                 "--log", str(out / (label + ".jsonl"))])
 
 
+def inference_runs(out: Path) -> None:
+    os.chdir(out)
+    sesqa(["eval", "--checkpoint", "cli.ckpt",
+           "--quadruples", "cli_data/quads.jsonl",
+           "--mos", "cli_data/mos.jsonl", "--kfold", "2",
+           "--out", "eval.json"])
+    rated = ["cli_data/rated/r%d.wav" % i for i in range(4)]
+    printed = io.StringIO()
+    with redirect_stdout(printed):
+        sesqa(["score", "--checkpoint", "cli.ckpt"] + rated)
+        sesqa(["score", "--checkpoint", "cli.ckpt",
+               "--reference", rated[0]] + rated)
+    (out / "score.txt").write_text(printed.getvalue())
+
+
 def tensor_lines(path: Path):
     """Lines `<file> <name> <hash>` for the metadata block, then each
     tensor of the checkpoint at `path`, read by the file's own layout:
@@ -125,6 +149,7 @@ if __name__ == "__main__":
     out.mkdir(parents=True, exist_ok=True)
     library_runs(out)
     cli_runs(out, sys.argv[2:])
+    inference_runs(out)
     (out / "tensors.txt").write_text("".join(
         line + "\n" for ckpt in sorted(out.glob("*.ckpt"))
         for line in tensor_lines(ckpt)))
