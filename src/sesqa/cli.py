@@ -36,7 +36,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECKPOINT = 4
 
-ENV_PREFIX = "SESQA_"
 CHECK_DRAWS = 100000      # chains per stage drawn by `generate --check`
 
 
@@ -45,51 +44,60 @@ class UsageError(ValueError):
 
 
 def _load_config_file(path):
-    if path is None:
-        return {}
     try:
         with open(path) as f:
             cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # not UTF-8, too deep
         raise UsageError("cannot read config file %s: %s" % (path, e))
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     return cfg
 
 
-def resolve_option(name, flag_value, file_config, cast=str):
-    """file < environment < flag, with type casting."""
-    value = file_config.get(name)
-    env = os.environ.get(ENV_PREFIX + name.upper())
-    if env is not None:
-        value = env
-    if flag_value is not None:
-        value = flag_value
-    if value is None:
+def resolve_option(name, flag_value, file_config, parse):
+    """file < environment < flag, through `parse`; None when none gives it.
+    A config file's null is given, and refused."""
+    value = os.environ.get("SESQA_" + name.upper(), file_config.get(name))
+    value = value if flag_value is None else flag_value
+    if value is None and name not in file_config:
         return None
-    # a config file's true or 2.7 must not pass as 1 or 2
-    if isinstance(value, bool) or (cast is int and isinstance(value, float)):
-        raise UsageError("bad value for %s: %r" % (name, value))
     try:
-        return cast(value)
-    except (TypeError, ValueError) as e:
+        return parse(value)
+    except ValueError as e:
         raise UsageError("bad value for %s: %s" % (name, e))
 
 
-def _parse_loss_mask(text):
-    """Comma-separated loss names -> a checked mask tuple (ValueError)."""
-    if not isinstance(text, str):     # a config file's list, say
+def _parser(form, cast, *types):
+    """A parser of `form`: cast(value) of a string or of `types`, no bool."""
+    def parse(value):
+        try:
+            if type(value) in (str,) + types:
+                return cast(value)
+        except (ValueError, OverflowError):   # "x", or a 400-digit int
+            pass
+        raise ValueError("expected %s, got %s" % (form, json.dumps(value)))
+    return parse
+
+
+def parse_loss_mask(value) -> tuple:
+    """Comma-separated loss names -> a checked mask tuple."""
+    if not isinstance(value, str):     # a config file's list, say
         raise ValueError('expected comma-separated loss names such as '
                          '"mos,rank"')
-    return check_loss_mask(t.strip() for t in text.split(",") if t.strip())
+    return check_loss_mask(t.strip() for t in value.split(",") if t.strip())
 
 
-# The settings that a config file or SESQA_<NAME> may also give, with their
-# casts; each is the `dest` of the command's flag of the same name.
+# The settings a config file or SESQA_<NAME> may also give, each the `dest`
+# of a text flag, and the parser that checks its form from every source.
+parse_whole = _parser("a whole number", int, int)    # refuses 2.0, "2.0"
+parse_real = _parser("a number", float, int, float)  # a config 1 gives 1.0
+parse_text = _parser("a string", str)
 SETTINGS = {
-    "generate": {"n": int, "seed": int, "transcoder_cmd": str},
-    "train": {"seed": int, "epochs": int, "batch_size": int, "base_lr": float,
-              "channels": float, "loss_mask": _parse_loss_mask},
+    "generate": {"n": parse_whole, "seed": parse_whole,
+                 "transcoder_cmd": parse_text},
+    "train": {"seed": parse_whole, "epochs": parse_whole,
+              "batch_size": parse_whole, "base_lr": parse_real,
+              "channels": parse_real, "loss_mask": parse_loss_mask},
 }
 
 
@@ -213,9 +221,8 @@ def cmd_eval(args) -> int:
         quads = _load_quads(args.quadruples)
         s_ik, s_il, s_jk, s_jl = score(
             [f.samples for q in quads for f in q.frames()]).reshape(-1, 4).T
-        both_i = np.concatenate([s_ik, s_il])
-        both_j = np.concatenate([s_jk, s_jl])
-        report["r_rank"] = evaluation.eval_rank(both_i, both_j)
+        report["r_rank"] = evaluation.eval_rank(np.concatenate([s_ik, s_il]),
+                                                np.concatenate([s_jk, s_jl]))
         report["l_cons"] = evaluation.eval_cons((s_ik, s_il, s_jk, s_jl))
 
     if args.mos:
@@ -288,9 +295,8 @@ def cmd_analyze(args) -> int:
         _check_new_file(args.out)
     model = load_checkpoint(args.checkpoint)
     if args.mode == "sweep":
-        frame = read_wav_48k(args.clean)
-        curve = evaluation.strength_sweep(model, frame, args.kind,
-                                          seed=args.seed)
+        curve = evaluation.strength_sweep(model, read_wav_48k(args.clean),
+                                          args.kind, seed=args.seed)
         lines = ["strength,mean_score"]
         lines += ["%g,%.4f" % (s, v) for s, v in
                   zip(curve["strengths"], curve["mean_scores"])]
@@ -321,10 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--pool", required=True, help="clean speech directory")
     g.add_argument("--out", default="quads", help="output WAV directory")
     g.add_argument("--manifest", default="quads.jsonl")
-    g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--noise-pool")
-    g.add_argument("--transcoder-cmd")
+    for flag in ("--n", "--seed", "--noise-pool", "--transcoder-cmd"):
+        g.add_argument(flag)
     g.add_argument("--check", action="store_true",
                    help="validate chain distributions instead of writing")
 
@@ -333,23 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--mos", help="MOS manifest")
     t.add_argument("--jnd", help="JND manifest")
     t.add_argument("--out", default="model.ckpt")
-    t.add_argument("--log", default=None)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch-size", type=int)
-    t.add_argument("--lr", type=float, dest="base_lr")
-    t.add_argument("--channels", type=float, help="channel multiplier")
+    for flag in ("--log", "--epochs", "--batch-size", "--seed"):
+        t.add_argument(flag)
+    t.add_argument("--lr", dest="base_lr")
+    t.add_argument("--channels", help="channel multiplier")
     t.add_argument("--loss-mask", help="comma-separated loss names")
-    t.add_argument("--seed", type=int)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     scorer = e.add_mutually_exclusive_group(required=True)
     scorer.add_argument("--checkpoint")
     scorer.add_argument("--random-baseline", action="store_true")
-    e.add_argument("--quadruples")
-    e.add_argument("--mos")
+    for flag in ("--quadruples", "--mos", "--out"):
+        e.add_argument(flag)
     e.add_argument("--kfold", type=int)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--out")
 
     s = sub.add_parser("score", help="score WAV files")
     s.add_argument("--checkpoint", required=True)
@@ -360,11 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--checkpoint", required=True)
     a.add_argument("--mode", choices=("distances", "sweep", "latents"),
                    required=True)
-    a.add_argument("--quadruples")
-    a.add_argument("--clean")
-    a.add_argument("--kind")
+    for flag in ("--quadruples", "--clean", "--kind", "--out"):
+        a.add_argument(flag)
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--out")
     return p
 
 
@@ -375,10 +374,11 @@ _COMMANDS = {"generate": cmd_generate, "train": cmd_train,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        file_config = _load_config_file(args.config)
-        for name, cast in SETTINGS.get(args.command, {}).items():
+        file_config = (_load_config_file(args.config)
+                       if args.config is not None else {})
+        for name, parse in SETTINGS.get(args.command, {}).items():
             setattr(args, name, resolve_option(name, getattr(args, name),
-                                               file_config, cast=cast))
+                                               file_config, parse))
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError("bad seed %d" % args.seed)
         return _COMMANDS[args.command](args)

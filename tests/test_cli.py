@@ -136,20 +136,21 @@ def test_generate_pool_with_no_usable_file(tmp_path, capsys):
 
 def test_resolve_option_precedence(monkeypatch):
     file_cfg = {"epochs": 5}
-    assert resolve_option("epochs", None, {}, cast=int) is None
-    assert resolve_option("epochs", None, file_cfg, cast=int) == 5
+    whole, real = cli.parse_whole, cli.parse_real
+    assert resolve_option("epochs", None, {}, whole) is None
+    assert resolve_option("epochs", None, file_cfg, whole) == 5
     # a config file's bool, or its float for an int setting, is refused
     # rather than truncated, as a flag or SESQA_* value of "2.7" is
-    for name, value, cast in (("epochs", 2.7, int), ("seed", -3.9, int),
-                              ("batch_size", True, int),
-                              ("channels", True, float)):
+    for name, value, parse in (("epochs", 2.7, whole), ("seed", -3.9, whole),
+                               ("batch_size", True, whole),
+                               ("channels", True, real)):
         with pytest.raises(UsageError, match="bad value for " + name):
-            resolve_option(name, None, {name: value}, cast=cast)
+            resolve_option(name, None, {name: value}, parse)
     monkeypatch.setenv("SESQA_EPOCHS", "7")
-    assert resolve_option("epochs", None, file_cfg, cast=int) == 7
-    assert resolve_option("epochs", 9, file_cfg, cast=int) == 9
+    assert resolve_option("epochs", None, file_cfg, whole) == 7
+    assert resolve_option("epochs", 9, file_cfg, whole) == 9
     with pytest.raises(UsageError):
-        resolve_option("epochs", "many", file_cfg, cast=int)
+        resolve_option("epochs", "many", file_cfg, whole)
 
 
 def test_config_precedence_integration(workdir, tmp_path, monkeypatch):
@@ -178,11 +179,24 @@ def test_config_precedence_integration(workdir, tmp_path, monkeypatch):
     assert len(m3.read_text().splitlines()) == 4
 
 
-def test_bad_config_file(tmp_path):
+def test_bad_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")
     assert main(["--config", str(bad), "generate", "--pool", str(tmp_path),
                  "--n", "1"]) == EXIT_USAGE
+    # not UTF-8, an integer past Python's 4,300-digit limit, and nesting
+    # past the recursion limit: one line that names the file
+    for name, data in (("latin1.json", b'{"transcoder_cmd": "\xff"}'),
+                       ("digits.json", b'{"n": ' + b"9" * 5000 + b"}"),
+                       ("deep.json", b"[" * 100000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert main(["--config", str(path), "generate", "--pool",
+                     str(tmp_path), "--n", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file %s: " % path)
+        assert err.count("\n") == 1
 
 
 def test_config_loss_mask_must_be_a_string(tmp_path, capsys):
@@ -198,7 +212,7 @@ def test_config_loss_mask_must_be_a_string(tmp_path, capsys):
         'names such as "mos,rank"\n')
     assert not out.exists()
     assert resolve_option("loss_mask", None, {"loss_mask": "mos, rank"},
-                          cast=cli._parse_loss_mask) == ("mos", "rank")
+                          cli.parse_loss_mask) == ("mos", "rank")
 
 
 def test_train_deterministic(workdir, checkpoint, tmp_path):
@@ -289,6 +303,94 @@ def test_train_width_too_large_to_allocate(workdir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# The gate over every setting of every command that has settings (eval,
+# analyze and score have none): each bad value, through the flag, SESQA_*
+# and the config file. A config file holds the value itself; a flag or
+# SESQA_* holds it as text, a string as it is and anything else as JSON.
+_BAD_VALUES = {
+    "list": ["cp", "{in}", "{out}", "{codec}", "{bitrate}"],
+    "object": {"seed": 1}, "null": None, "true": True,
+    "nan": float("nan"), "infinity": float("inf"),
+    "negative": -1, "fraction": 0.5, "empty": "",
+    "directory": "{tmp}/dir", "missing": "{tmp}/missing",
+}
+# The values that are valid for a setting, left out of its cases; so is
+# the list as the text of a transcoder_cmd, which holds all four
+# placeholders.
+_VALID = {("generate-check", "n"): {"negative"},   # --check needs no --n
+          ("train", "channels"): {"fraction"},
+          ("train", "base_lr"): {"fraction"}}
+_GATE_COMMANDS = {
+    "generate": ["generate", "--pool", "{tmp}/pool", "--out", "{tmp}/q",
+                 "--manifest", "{tmp}/q.jsonl"],
+    "generate-check": ["generate", "--pool", "{tmp}/pool", "--check"],
+    "train": ["train", "--quadruples", "{tmp}/q.jsonl",
+              "--out", "{tmp}/x.ckpt", "--log", "{tmp}/log.jsonl"],
+}
+_FLAGS = {"base_lr": "--lr"}
+
+
+@pytest.mark.parametrize("command, name, source", [
+    (command, name, source) for command in sorted(_GATE_COMMANDS)
+    for name in cli.SETTINGS[command.split("-")[0]]
+    for source in ("flag", "env", "config")])
+def test_bad_setting_gate(command, name, source, tmp_path, capsys,
+                          monkeypatch):
+    """Exit 2 with one `error:` line, nothing on stdout and no file, before
+    any data is read or any work starts; a value that the setting's parser
+    refuses gets `error: bad value for <name>: ` from every source."""
+    def never(*args, **kwargs):
+        raise AssertionError("accepted %s=%r from the %s"
+                             % (name, value, source))
+
+    for reader in ("_load_quads", "load_checkpoint", "read_wav_48k",
+                   "read_mos_manifest", "sample_chain", "Model", "train"):
+        monkeypatch.setattr(cli, reader, never)
+    monkeypatch.setattr(cli.CleanPool, "from_directory", never)
+    for settings in cli.SETTINGS.values():
+        for other in settings:
+            monkeypatch.delenv("SESQA_" + other.upper(), raising=False)
+    parse = cli.SETTINGS[command.split("-")[0]][name]
+    flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
+    (tmp_path / "dir").mkdir()
+    base = [a.format(tmp=tmp_path) for a in _GATE_COMMANDS[command]]
+    if command == "generate" and name != "n":
+        base += ["--n", "1"]
+    skip = set(_VALID.get((command, name), ()))
+    if name == "transcoder_cmd" and source != "config":
+        skip.add("list")
+    for key, value in _BAD_VALUES.items():
+        if key in skip:
+            continue
+        if isinstance(value, str):
+            value = value.format(tmp=tmp_path)
+        text = value if isinstance(value, str) else json.dumps(value)
+        argv = list(base)
+        if source == "flag":
+            argv.append("%s=%s" % (flag, text))
+        elif source == "env":
+            monkeypatch.setenv("SESQA_" + name.upper(), text)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: value}))
+            argv = ["--config", str(cfg)] + argv
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == EXIT_USAGE, (key, value)
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), (key, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, (key, err)
+        try:
+            parse(value if source == "config" else text)
+            refused = False
+        except ValueError:
+            refused = True
+        if source == "config" and key in ("list", "object", "null", "true"):
+            assert refused, key   # no parser takes these from the file
+        assert err.startswith("error: bad value for %s: " % name) == refused, \
+            (key, err)
+        assert sorted(tmp_path.rglob("*")) == before, key
 
 
 # A negative seed, from a flag, a config file or SESQA_SEED, for each
